@@ -30,12 +30,10 @@ DEFAULT_PAIR_BOUND = 200_000
 
 @dataclass
 class GBState:
-    """The completion machine: basis, pair queue, current pair, pending mntcrs."""
+    """The completion machine: basis, pair queue and the processed pairs."""
 
     basis: list
     pair_queue: deque
-    current: Optional[tuple] = None
-    pending_mntcrs: list = field(default_factory=list)
     done: set = field(default_factory=set)
 
 
@@ -147,7 +145,6 @@ def gb(
                 f"pair queue did not empty within {max_pairs} pairs"
             )
         i, j = queue.popleft()
-        state.current = (i, j)
         trace.pairs_processed += 1
         trace.emit(f"pair {i} {j}")
         pending = []
@@ -155,9 +152,7 @@ def gb(
             for i2 in dom.multiplier_indices:
                 for z in dom.mntcrs(basis[i], i1, basis[j], i2):
                     pending.append((z, (i1, i2)))
-        state.pending_mntcrs = list(pending)
         for z, (i1, i2) in pending:
-            state.pending_mntcrs.pop(0)
             trace.emit(f"mntcr {dom.render(z)} indices {i1} {i2}")
             if use_chain and chain_criterion_skip(dom, state, i, j, z):
                 trace.chain_skips += 1
@@ -206,7 +201,6 @@ def gb(
             for k in range(new + 1):
                 queue.append((k, new))
         state.done.add((i, j))
-        state.current = None
         trace.emit(f"done {i} {j}")
     for g in basis:
         trace.emit(f"final {dom.render(g)}")

@@ -14,7 +14,7 @@ A problem file is line-oriented UTF-8 with ``#`` comments::
 ``ring`` selects q, z or ``zmod N``; ``vars`` (optional) lifts the scalar
 ring to polynomials; ``order`` picks lex, deglex or degrevlex (default
 degrevlex).  Exit codes: 0 ok, 1 negative verdict, 2 parse error, 3 step cap
-exceeded.
+exceeded, 4 contract violation (a domain broke one of its own promises).
 """
 
 from __future__ import annotations
@@ -27,7 +27,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .buchberger import gb, is_groebner_basis, member_ideal, verify_cofactors
-from .core import Domain, NonTerminationError, check_axioms, normal_form
+from .core import (
+    ContractViolationError,
+    Domain,
+    NonTerminationError,
+    check_axioms,
+    normal_form,
+)
 from .poly import PolyRing, make_poly_domain
 from .scalars import (
     IntegerDomain,
@@ -358,6 +364,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NonTerminationError as exc:
         print(f"step cap exceeded: {exc}", file=sys.stderr)
         return 3
+    except ContractViolationError as exc:
+        print(f"contract violation: {exc}", file=sys.stderr)
+        return 4
 
 
 def entrypoint() -> None:

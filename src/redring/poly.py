@@ -8,17 +8,35 @@ ring over it: reduction rewrites the greatest reducible term through a
 coefficient multiplier times a power-product quotient, and common reducibles
 factor as a coefficient-level representative times the lcm of the leading
 power products.
+
+Arithmetic keeps term tuples sorted and never re-sorts them:
+
+* a sum or difference is one merge of two strictly descending term tuples,
+  which combines equal power products and drops zero coefficients;
+* a monomial times a polynomial multiplies term by term and keeps the
+  order, because the term order is multiplicative (s > t implies
+  s*u > t*u); products that vanish, such as 6*4 in Z/24Z, drop out;
+* a general product merges such monomial rows into one sum.
+
+Only ``PolyRing.poly`` collects unordered (coefficient, power product) pairs
+through a dict and a sort.  It validates its input and builds parsed and
+user-supplied polynomials; no internal result goes through it.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from operator import add as _add_exps, le as _le, sub as _sub_exps
 from typing import Any, Iterable, NamedTuple, Optional
 
 from .core import Domain
 
 Pp = tuple
+
+# tuple.__new__(Monomial, (c, pp)) builds Monomial(c, pp) without the
+# Python-level __new__ of the named tuple: half the cost in the hot loops
+_new_tuple = tuple.__new__
 
 
 def _check_lengths(s: Pp, t: Pp) -> None:
@@ -53,6 +71,14 @@ def pp_degree(s: Pp) -> int:
     return sum(s)
 
 
+def _deglex_rank(pp: Pp) -> tuple:
+    return (sum(pp), pp)
+
+
+def _degrevlex_rank(pp: Pp) -> tuple:
+    return (-sum(pp), pp[::-1])
+
+
 class TermOrder:
     """A total, multiplicative, well-founded order on power products."""
 
@@ -65,6 +91,16 @@ class TermOrder:
             raise ValueError("need at least one variable")
         self.kind = kind
         self.nvars = nvars
+        # an unvalidated rank for internal comparisons: for distinct power
+        # products s and t, s is above t iff rank(s) > rank(t), or
+        # rank(s) < rank(t) when _rank_reversed; degrevlex gets the cheaper
+        # reversed rank instead of negating every exponent
+        if kind == "lex":
+            self._rank, self._rank_reversed = tuple, False
+        elif kind == "deglex":
+            self._rank, self._rank_reversed = _deglex_rank, False
+        else:
+            self._rank, self._rank_reversed = _degrevlex_rank, True
 
     def key(self, pp: Pp):
         """Sort key: key(s) < key(t) iff s is below t."""
@@ -144,10 +180,9 @@ class Polynomial:
         return max(pp_degree(mono.pp) for mono in self.terms)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self.ring._require_same(other)
-        return self.ring.poly(
-            [(m.coeff, m.pp) for m in self.terms] + [(m.coeff, m.pp) for m in other.terms]
-        )
+        ring = self.ring
+        ring._require_same(other)
+        return Polynomial(ring, ring._merge(self.terms, other.terms, False))
 
     def __neg__(self) -> "Polynomial":
         coeff = self.ring.coeff
@@ -156,22 +191,20 @@ class Polynomial:
         )
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        ring = self.ring
+        ring._require_same(other)
+        return Polynomial(ring, ring._merge(self.terms, other.terms, True))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self.ring._require_same(other)
-        coeff = self.ring.coeff
-        items = []
-        for ms in self.terms:
-            for mo in other.terms:
-                items.append((coeff.mul(ms.coeff, mo.coeff), pp_mul(ms.pp, mo.pp)))
-        return self.ring.poly(items)
+        ring = self.ring
+        ring._require_same(other)
+        return Polynomial(ring, ring._times(self.terms, other.terms))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
-            and other.ring == self.ring
             and other.terms == self.terms
+            and (other.ring is self.ring or other.ring == self.ring)
         )
 
     def __hash__(self) -> int:
@@ -186,10 +219,13 @@ class Polynomial:
 
 def mono_mul(mono: Monomial, p: Polynomial) -> Polynomial:
     """Multiply a polynomial by a single monomial."""
-    coeff = p.ring.coeff
-    return p.ring.poly(
-        [(coeff.mul(mono.coeff, m.coeff), pp_mul(mono.pp, m.pp)) for m in p.terms]
-    )
+    ring = p.ring
+    pp = tuple(mono.pp)
+    if len(pp) != ring.nvars:
+        raise ValueError(f"expected {ring.nvars} exponents, got {pp}")
+    if any(e < 0 for e in pp):
+        raise ValueError(f"negative exponent in {pp}")
+    return Polynomial(ring, ring._scale(mono.coeff, pp, p.terms))
 
 
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[\^*/+\-])|(\S)")
@@ -264,23 +300,107 @@ class PolyRing(Domain):
         return self.monomial(self.coeff.one, pp)
 
     def _require_same(self, p: Polynomial) -> None:
-        if p.ring != self:
+        if p.ring is not self and p.ring != self:
             raise ValueError("polynomials belong to different rings")
+
+    def _term(self, c, pp: Pp) -> Polynomial:
+        """c*x^pp from a valid power product; zero when c is."""
+        if self.coeff.is_zero(c):
+            return self.zero
+        return Polynomial(self, (_new_tuple(Monomial, (c, pp)),))
+
+    # sorted-term arithmetic; inputs are strictly descending term tuples
+    def _merge(self, s: tuple, t: tuple, subtract: bool) -> tuple:
+        """s + t, or s - t when subtract, in one pass over both tuples."""
+        coeff = self.coeff
+        neg = coeff.neg
+        if not t:
+            return s
+        if not s:
+            if not subtract:
+                return t
+            return tuple(_new_tuple(Monomial, (neg(m.coeff), m.pp)) for m in t)
+        add, is_zero = coeff.add, coeff.is_zero
+        rank, reversed_rank = self.order._rank, self.order._rank_reversed
+        out = []
+        append = out.append
+        ns, nt = len(s), len(t)
+        i = j = 0
+        ms, mt = s[0], t[0]
+        rs, rt = rank(ms.pp), rank(mt.pp)
+        while True:
+            if ms.pp == mt.pp:
+                c = add(ms.coeff, neg(mt.coeff) if subtract else mt.coeff)
+                if not is_zero(c):
+                    append(_new_tuple(Monomial, (c, ms.pp)))
+                i += 1
+                j += 1
+                if i == ns or j == nt:
+                    break
+                ms, mt = s[i], t[j]
+                rs, rt = rank(ms.pp), rank(mt.pp)
+            elif (rs < rt) == reversed_rank:
+                # the head of s is above the head of t
+                append(ms)
+                i += 1
+                if i == ns:
+                    break
+                ms = s[i]
+                rs = rank(ms.pp)
+            else:
+                append(_new_tuple(Monomial, (neg(mt.coeff), mt.pp)) if subtract else mt)
+                j += 1
+                if j == nt:
+                    break
+                mt = t[j]
+                rt = rank(mt.pp)
+        if i < ns:
+            out.extend(s[i:])
+        elif subtract:
+            out.extend(_new_tuple(Monomial, (neg(m.coeff), m.pp)) for m in t[j:])
+        else:
+            out.extend(t[j:])
+        return tuple(out)
+
+    def _scale(self, c, pp: Pp, terms: tuple) -> tuple:
+        """c*x^pp times a term tuple, still descending; vanishing products drop."""
+        coeff = self.coeff
+        mul, is_zero = coeff.mul, coeff.is_zero
+        out = []
+        for m in terms:
+            d = mul(c, m.coeff)
+            if not is_zero(d):
+                out.append(_new_tuple(Monomial, (d, tuple(map(_add_exps, pp, m.pp)))))
+        return tuple(out)
+
+    def _times(self, s: tuple, t: tuple) -> tuple:
+        """The product of two term tuples: a sum of monomial rows."""
+        if len(s) > len(t):
+            s, t = t, s  # one row per term of the shorter factor
+        out = ()
+        for m in s:
+            out = self._merge(out, self._scale(m.coeff, m.pp, t), False)
+        return out
 
     # Domain interface
     def add(self, a: Polynomial, b: Polynomial) -> Polynomial:
         self._require_same(a)
         self._require_same(b)
-        return a + b
+        return Polynomial(self, self._merge(a.terms, b.terms, False))
 
     def neg(self, a: Polynomial) -> Polynomial:
         self._require_same(a)
         return -a
 
+    def sub(self, a: Polynomial, b: Polynomial) -> Polynomial:
+        self._require_same(a)
+        self._require_same(b)
+        return Polynomial(self, self._merge(a.terms, b.terms, True))
+
     def mul(self, a: Polynomial, b: Polynomial) -> Polynomial:
         self._require_same(a)
         self._require_same(b)
-        return a * b
+        return Polynomial(self, self._times(a.terms, b.terms))
 
     def equal(self, a: Polynomial, b: Polynomial) -> bool:
         return a.terms == b.terms
@@ -320,17 +440,18 @@ class PolyRing(Domain):
         return family
 
     def _scan(self, f: Polynomial, g: Polynomial, index) -> Optional[Polynomial]:
-        g_pp = g.leading_pp()
-        g_lc = g.leading_coeff()
-        for mono in f.terms:
-            if pp_divides(g_pp, mono.pp):
-                m = self.coeff.find_multiplier(mono.coeff, g_lc, index)
+        """The multiplier for the greatest term of f that g reduces at index."""
+        g_lc, g_pp = g.terms[0]
+        find = self.coeff.find_multiplier
+        for c, pp in f.terms:
+            if all(map(_le, g_pp, pp)):
+                m = find(c, g_lc, index)
                 if m is not None:
-                    return self.monomial(m, pp_quotient(mono.pp, g_pp))
+                    return self._term(m, tuple(map(_sub_exps, pp, g_pp)))
         return None
 
     def find_multiplier(self, f: Polynomial, g: Polynomial, index) -> Optional[Polynomial]:
-        if f.is_zero or g.is_zero:
+        if not f.terms or not g.terms:
             return None
         if index == "ann":
             for scalar, shadow in self._ann_family(g):
@@ -338,9 +459,7 @@ class PolyRing(Domain):
                     m = self._scan(f, shadow, cindex)
                     if m is not None:
                         head = m.leading_monomial()
-                        return self.monomial(
-                            self.coeff.mul(head.coeff, scalar), head.pp
-                        )
+                        return self._term(self.coeff.mul(head.coeff, scalar), head.pp)
             return None
         return self._scan(f, g, index)
 
@@ -361,7 +480,7 @@ class PolyRing(Domain):
                 lcm = pp_lcm(e1.leading_pp(), e2.leading_pp())
                 reps = self.coeff.mntcrs(e1.leading_coeff(), ci1, e2.leading_coeff(), ci2)
                 for c in reps:
-                    z = self.monomial(c, lcm)
+                    z = self._term(c, lcm)
                     if z not in out:
                         out.append(z)
         return out

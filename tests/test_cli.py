@@ -187,6 +187,22 @@ def test_step_cap_exit_code(problem, capsys):
     assert "step cap" in err
 
 
+def test_contract_violation_exit_code(problem, capsys, monkeypatch):
+    from redring import cli
+    from redring.scalars import IntegerDomain
+
+    class IrreducibleMntcr(IntegerDomain):
+        def mntcrs(self, c1, i1, c2, i2):
+            return [1]  # no multiple of 4 or 6 takes 1 below itself
+
+    monkeypatch.setattr(cli, "make_integer_domain", IrreducibleMntcr)
+    code, out, err = run(capsys, ["gb", problem(Z_PROBLEM)])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("contract violation: ")
+    assert "Traceback" not in err
+
+
 def test_flag_overrides(problem, capsys):
     # same generators, reinterpreted in a different ring
     code, out, _ = run(capsys, ["gb", problem(Z_PROBLEM), "--ring", "zmod:24"])

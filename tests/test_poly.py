@@ -205,6 +205,163 @@ class TestArithmetic:
                 assert keys == sorted(keys, reverse=True)
 
 
+def random_poly(rng, R, nterms):
+    coeffs = R.coeff.sample_elements(rng, nterms)
+    return R.poly(
+        (c, tuple(rng.randint(0, 3) for _ in range(R.nvars))) for c in coeffs
+    )
+
+
+def ref_add(R, a, b):
+    return R.poly(list(a.terms) + list(b.terms))
+
+
+def ref_sub(R, a, b):
+    return R.poly(list(a.terms) + [(R.coeff.neg(c), pp) for c, pp in b.terms])
+
+
+def ref_mono_mul(R, c, pp, p):
+    return R.poly((R.coeff.mul(c, d), pp_mul(pp, e)) for d, e in p.terms)
+
+
+def ref_scan(R, f, g, index):
+    g_lc, g_pp = g.terms[0]
+    for c, pp in f.terms:
+        if pp_divides(g_pp, pp):
+            m = R.coeff.find_multiplier(c, g_lc, index)
+            if m is not None:
+                return R.monomial(m, pp_quotient(pp, g_pp))
+    return None
+
+
+def ref_find_multiplier(R, f, g, index):
+    if f.is_zero or g.is_zero:
+        return None
+    if index != "ann":
+        return ref_scan(R, f, g, index)
+    zero_pp = (0,) * R.nvars
+    scalar, current = R.coeff.one, g
+    while not current.is_zero:
+        m0 = R.coeff.annihilator(current.leading_coeff())
+        if m0 is None:
+            return None
+        scalar = R.coeff.mul(m0, scalar)
+        current = ref_mono_mul(R, m0, zero_pp, current)
+        if current.is_zero:
+            return None
+        for cindex in R.coeff.multiplier_indices:
+            m = ref_scan(R, f, current, cindex)
+            if m is not None:
+                head = m.leading_monomial()
+                return R.monomial(R.coeff.mul(head.coeff, scalar), head.pp)
+    return None
+
+
+class TestSortedArithmeticDifferential:
+    """The merge and no-re-sort paths against references built by R.poly()."""
+
+    RINGS = (Q, Z, Z24)
+
+    def rings(self):
+        for coeff in self.RINGS:
+            for kind in TermOrder.KINDS:
+                yield make_poly_domain(coeff, ("x", "y", "z"), kind)
+
+    def test_add_sub_match_reference(self):
+        rng = random.Random(71)
+        for R in self.rings():
+            for _ in range(60):
+                a = random_poly(rng, R, rng.randint(0, 6))
+                b = random_poly(rng, R, rng.randint(0, 6))
+                # b shares part of its support with a, some terms cancelling
+                shared = R.poly(
+                    [(R.coeff.neg(c), pp) for c, pp in a.terms if rng.random() < 0.5]
+                    + [(c, pp) for c, pp in a.terms if rng.random() < 0.3]
+                )
+                for x, y in ((a, b), (b, a), (a, shared), (shared, a), (a, a)):
+                    assert (x + y).terms == ref_add(R, x, y).terms
+                    assert R.add(x, y).terms == ref_add(R, x, y).terms
+                    assert (x - y).terms == ref_sub(R, x, y).terms
+                    assert R.sub(x, y).terms == ref_sub(R, x, y).terms
+                assert (a - a).terms == ()
+                assert (a + (-a)).terms == ()
+                assert R.sub(a, a) == R.zero
+
+    def test_monomial_times_polynomial_matches_reference(self):
+        rng = random.Random(73)
+        for R in self.rings():
+            for _ in range(60):
+                p = random_poly(rng, R, rng.randint(0, 6))
+                c = rng.choice(R.coeff.sample_elements(rng, 4))
+                pp = tuple(rng.randint(0, 2) for _ in range(R.nvars))
+                want = ref_mono_mul(R, c, pp, p).terms
+                mono = R.poly([(c, pp)])
+                assert mono_mul(Monomial(c, pp), p).terms == want
+                assert (mono * p).terms == want
+                assert (p * mono).terms == want
+                assert R.mul(mono, p).terms == want
+                assert R.mul(p, mono).terms == want
+                q = random_poly(rng, R, rng.randint(0, 4))
+                assert (p * q).terms == R.poly(
+                    (R.coeff.mul(c1, c2), pp_mul(e1, e2))
+                    for c1, e1 in p.terms
+                    for c2, e2 in q.terms
+                ).terms
+
+    def test_vanishing_products_drop(self):
+        for kind in TermOrder.KINDS:
+            R = make_poly_domain(Z24, ("x", "y", "z"), kind)
+            p = R.parse("4*x^2 + 8*y + 12*z + 5")
+            six = Monomial(6, (1, 0, 0))
+            # 6*4, 6*8 and 6*12 vanish mod 24; only 6*5 = 30 = 6 survives
+            assert mono_mul(six, p).terms == ((6, (1, 0, 0)),)
+            assert (R.poly([six]) * p).terms == ((6, (1, 0, 0)),)
+            assert (p * R.poly([six])).terms == ((6, (1, 0, 0)),)
+            assert mono_mul(Monomial(6, (0, 0, 0)), R.parse("4*x + 12")).is_zero
+            assert mono_mul(Monomial(0, (1, 0, 0)), p).is_zero
+
+    def test_find_multiplier_matches_reference(self):
+        rng = random.Random(79)
+        for R in self.rings():
+            for _ in range(80):
+                f = random_poly(rng, R, rng.randint(0, 6))
+                g = random_poly(rng, R, rng.randint(0, 3))
+                for index in R.multiplier_indices:
+                    got = R.find_multiplier(f, g, index)
+                    want = ref_find_multiplier(R, f, g, index)
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert got.terms == want.terms
+
+    def test_checks_still_raise(self):
+        R = make_poly_domain(Q, ("x", "y"), "degrevlex")
+        other = make_poly_domain(Q, ("x", "y"), "lex")
+        p, q = R.parse("x + y"), other.parse("x + y")
+        for op in (
+            lambda: p + q,
+            lambda: p - q,
+            lambda: p * q,
+            lambda: R.add(p, q),
+            lambda: R.sub(q, p),
+            lambda: R.mul(p, q),
+            lambda: R.neg(q),
+        ):
+            with pytest.raises(ValueError):
+                op()
+        with pytest.raises(ValueError):
+            R.poly([(1, (1, 0, 0))])
+        with pytest.raises(ValueError):
+            R.poly([(1, (1, -1))])
+        with pytest.raises(ValueError):
+            mono_mul(Monomial(Fraction(1), (1,)), p)
+        with pytest.raises(ValueError):
+            mono_mul(Monomial(Fraction(1), (-1, 0)), p)
+        # an equal but distinct ring instance is still the same ring
+        twin = make_poly_domain(Q, ("x", "y"), "degrevlex")
+        assert (p + twin.parse("x")) == R.parse("2*x + y")
+
+
 class TestPolyDomain:
     def test_zero_is_least_and_order_decreases_under_reduction(self):
         rng = random.Random(53)
