@@ -141,9 +141,14 @@ class Monomial(NamedTuple):
 
 
 class Polynomial:
-    """An immutable polynomial: monomials strictly descending in the ring's order."""
+    """An immutable polynomial: monomials strictly descending in the ring's order.
 
-    __slots__ = ("ring", "terms")
+    The slot ``_ann`` caches ``PolyRing._cached_ann_family(self)``.  It is
+    set on first use, never in ``__init__``, and plays no part in equality
+    or hashing.
+    """
+
+    __slots__ = ("ring", "terms", "_ann")
 
     def __init__(self, ring: "PolyRing", terms: tuple) -> None:
         self.ring = ring
@@ -419,6 +424,14 @@ class PolyRing(Domain):
                 return False
         return len(p.terms) < len(q.terms)
 
+    def _cached_ann_family(self, g: Polynomial) -> tuple:
+        """``_ann_family(g)`` as a tuple, built once per polynomial object."""
+        try:
+            return g._ann
+        except AttributeError:
+            family = g._ann = tuple(self._ann_family(g))
+            return family
+
     def _ann_family(self, g: Polynomial) -> list:
         """(scalar, scalar*g) pairs whose leads were annihilated in cascade.
 
@@ -454,7 +467,7 @@ class PolyRing(Domain):
         if not f.terms or not g.terms:
             return None
         if index == "ann":
-            for scalar, shadow in self._ann_family(g):
+            for scalar, shadow in self._cached_ann_family(g):
                 for cindex in self.coeff.multiplier_indices:
                     m = self._scan(f, shadow, cindex)
                     if m is not None:
@@ -466,7 +479,7 @@ class PolyRing(Domain):
     def _effective(self, g: Polynomial, index) -> list:
         """The polynomials a reduction at this index actually rewrites with."""
         if index == "ann":
-            return [shadow for _scalar, shadow in self._ann_family(g)]
+            return [shadow for _scalar, shadow in self._cached_ann_family(g)]
         return [g]
 
     def mntcrs(self, g1: Polynomial, i1, g2: Polynomial, i2) -> list:

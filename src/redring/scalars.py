@@ -170,6 +170,14 @@ class IntegerQuotientDomain(Domain):
     Residues are ordered as natural numbers.  A multiplier witness steers a
     straight to the least element of its coset, i.e. a mod gcd(c, n), and the
     single minimal common reducible of c1, c2 is max(gcd(c1, n), gcd(c2, n)).
+
+    The witness is closed form.  With d = gcd(c mod n, n) and r = a mod d,
+    the multiples of c are exactly the multiples of d, so r is the least
+    value a - m*c takes; when r < a, the multipliers reaching it are the
+    solutions of m*(c/d) = (a - r)/d modulo n/d, and the least of them in
+    [0, n) is m = ((a - r)/d) * (c/d)^-1 mod n/d.  That is the multiplier a
+    scan of m = 0, 1, ..., n-1 for the least value would return, in
+    O(log n) instead of O(n).
     """
 
     def __init__(self, n: int) -> None:
@@ -193,17 +201,15 @@ class IntegerQuotientDomain(Domain):
         return a < b
 
     def find_multiplier(self, a, c, index) -> Optional[int]:
-        c = c % self.n
+        n = self.n
+        c = c % n
         if c == 0:
             return None
-        best_value = a
-        best_m = None
-        for m in range(self.n):
-            v = (a - m * c) % self.n
-            if v < best_value:
-                best_value = v
-                best_m = m
-        return best_m
+        d = math.gcd(c, n)
+        r = a % d
+        if r >= a:
+            return None
+        return (a - r) // d * pow(c // d, -1, n // d) % (n // d)
 
     def mntcrs(self, c1, i1, c2, i2) -> list:
         c1, c2 = c1 % self.n, c2 % self.n
@@ -223,6 +229,9 @@ class IntegerQuotientDomain(Domain):
     def enumerate_carrier(self) -> list:
         return list(range(self.n))
 
+    def carrier_size(self) -> int:
+        return self.n
+
     def iter_reduction_steps(self, a, c) -> Iterator[tuple]:
         c = c % self.n
         if c == 0:
@@ -231,15 +240,6 @@ class IntegerQuotientDomain(Domain):
             b = (a - m * c) % self.n
             if b < a:
                 yield m, b
-
-    def solve_multiplier(self, target, c):
-        c = c % self.n
-        if c == 0:
-            return None
-        for m in range(self.n):
-            if (m * c) % self.n == target % self.n:
-                return m
-        return None
 
     def parse(self, text: str) -> int:
         try:

@@ -262,7 +262,8 @@ def test_criterion_8_generalized_newman():
 
 def test_criterion_9_axiom_suite():
     for n in range(1, 61):
-        assert check_axioms(make_integer_quotient_domain(n)).ok, f"n={n}"
+        result = check_axioms(make_integer_quotient_domain(n))
+        assert result.ok and result.mode == "exhaustive", f"n={n}"
     assert check_axioms(Q, sample_budget=10_000).ok
     assert check_axioms(Z, sample_budget=10_000).ok
 

@@ -277,9 +277,11 @@ def test_state_invariants_hold_at_exit():
             assert f"pair {i} {j}" in text
 
 
-# Golden replay: the trace digest and the rendered basis of three fixed
-# systems, recorded before the sorted-merge polynomial arithmetic landed.
-# Faster arithmetic must leave every step, and so every byte, unchanged.
+# Golden replay: the trace digest and the rendered basis of fixed systems.
+# katsura3, cyclic4 and z24 were recorded before the sorted-merge polynomial
+# arithmetic landed; z360 (Z/360Z[x,y]) and zxyz (Z[x,y,z]) before the
+# closed-form Z/nZ witness and the cached ann family.  A faster path must
+# leave every step, and so every byte, unchanged.
 GOLDEN = {
     "katsura3": (
         Q,
@@ -335,6 +337,50 @@ GOLDEN = {
         ("4*x^2 + y", "6*x*y"),
         "e46b876c185a0a669f1b77de6b9d9032fa56348ff3eaae7fbc3b30ffc0b16a3f",
         ("4*x^2 + y", "6*x*y", "2*x^2*y + 5*y^2", "3*y^2", "23*x^2*y^2 + 2*y^3"),
+    ),
+    "z360": (
+        make_integer_quotient_domain(360),
+        "xy",
+        ("12*x^2*y + 30*x + 7", "45*x*y^2 + 8*y"),
+        "da2aba74292dafc0d48745a2935a2fe33cb2f1e1bafc6aba2503bbb3cbd9151c",
+        (
+            "12*x^2*y + 30*x + 7",
+            "45*x*y^2 + 8*y",
+            "354*x*y + 30*x + 45",
+            "30*x + 55",
+            "x^2*y^2 + 356*x*y + 355*y + 50",
+            "356*x^2*y + 28",
+            "6*y^2 + 356*y",
+            "359*x*y^2 + 359*y + 310",
+            "356*x*y + 6*y",
+            "356*y",
+            "357*y + 310",
+            "353",
+        ),
+    ),
+    "zxyz": (
+        Z,
+        "xyz",
+        ("3*x^2 + 2*y", "5*x*y - z", "4*y*z + x"),
+        "664fa8bb0462f02a63ce54b7fa4333a0479048dd3d218308e9c741ff54605294",
+        (
+            "3*x^2 + 2*y",
+            "5*x*y - z",
+            "4*y*z + x",
+            "-x^2*y - 4*y^2 - x*z",
+            "x^3 - 2*y^2*z - x*z^2 + x*y",
+            "-x*y*z + x^2 + z^2",
+            "10*y^2 + 3*x*z",
+            "-2*y^2*z + 3*x*z^2 + 2*x*y - z",
+            "x^2*z + 2*z^3 - y*z",
+            "6*z^3 - y*z + x",
+            "-6*x*z^2 + z",
+            "x^2 - 4*z^2 + 4*y",
+            "-12*z^2 + 10*y",
+            "-2*y*z^3 - y^2*z + 4*x*z^2 - 4*x*y",
+            "-3*x*z^4 + y^3*z - x*y^2 + 2*z^3 + 3*y*z + x",
+            "y^4*z + 3*z^5 - x*y^3 - y*z^3 + y^2*z + 3*x*z^2 - 2*x*y",
+        ),
     ),
 }
 

@@ -156,6 +156,16 @@ def test_check_axioms(problem, capsys):
     assert "zero-least: PASS" in out
 
 
+def test_check_axioms_json_reports_mode(problem, capsys):
+    for ring, mode in (("zmod 60", "exhaustive"), ("zmod 1000", "sampled"), ("z", "sampled")):
+        code, out, _ = run(
+            capsys, ["check", problem(Z_PROBLEM), "--axioms", "--json", "--ring", ring]
+        )
+        doc = json.loads(out)
+        assert code == 0 and doc["ok"] is True, ring
+        assert doc["mode"] == mode, ring
+
+
 def test_check_is_gb(problem, capsys):
     code, out, _ = run(capsys, ["check", problem(Q_PROBLEM), "--is-gb"])
     assert code == 0 and out.strip() == "YES"

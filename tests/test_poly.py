@@ -419,6 +419,24 @@ class TestPolyDomain:
         h, _ = normal_form(R, R.constant(12), [g])
         assert h.is_zero
 
+    def test_annihilator_family_is_cached_per_polynomial(self):
+        R = make_poly_domain(Z24, ("x", "y"), "lex")
+        g = R.parse("4*x + 2*y + 3")
+        family = R._cached_ann_family(g)
+        assert family == tuple(R._ann_family(g))
+        assert R._cached_ann_family(g) is family  # a repeat call reuses it
+        twin = R.parse("3 + 2*y + 4*x")
+        assert twin is not g
+        assert R._cached_ann_family(twin) == family
+        # the cache is invisible to equality and hashing
+        fresh = R.parse("4*x + 2*y + 3")
+        assert g == fresh and fresh == g and hash(g) == hash(fresh)
+        assert len({g, fresh}) == 1
+        # find_multiplier and mntcrs at "ann" give the same answers through it
+        target = R.parse("12*y + 18")
+        assert R.find_multiplier(target, g, "ann") == R.find_multiplier(target, fresh, "ann")
+        assert R.mntcrs(g, "ann", g, 0) == R.mntcrs(fresh, "ann", fresh, 0)
+
     def test_annihilator_index_inert_without_zero_divisors(self):
         for coeff in (Q, Z):
             R = make_poly_domain(coeff, ("x", "y"), "lex")

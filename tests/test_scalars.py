@@ -9,6 +9,7 @@ from redring.core import check_axioms, is_reducible, normal_form, project_reduct
 from redring.oracles import exhaustive_ideal_oracle, gcd_membership_oracle
 from redring.relations import equivalent, is_church_rosser
 from redring.scalars import (
+    IntegerQuotientDomain,
     make_field_domain,
     make_integer_domain,
     make_integer_quotient_domain,
@@ -153,6 +154,43 @@ class TestIntegerQuotient:
                 else:
                     assert m is None
 
+    def test_find_multiplier_matches_exhaustive_scan(self):
+        def scan(n, a, c):
+            # the O(n) witness the closed form replaced: the first m that
+            # reaches the least value of (a - m*c) mod n below a
+            c = c % n
+            if c == 0:
+                return None
+            best_value = a
+            best_m = None
+            for m in range(n):
+                v = (a - m * c) % n
+                if v < best_value:
+                    best_value = v
+                    best_m = m
+            return best_m
+
+        for n in range(1, 61):
+            dom = make_integer_quotient_domain(n)
+            for c in range(n):
+                for a in range(-n, 2 * n):
+                    assert dom.find_multiplier(a, c, 0) == scan(n, a, c), (n, a, c)
+
+    @pytest.mark.parametrize("n", [10**6, 2**64])
+    def test_find_multiplier_large_moduli(self, n):
+        dom = make_integer_quotient_domain(n)
+        rng = random.Random(n % 1009)
+        cases = [(n - 1, 2), (n // 2 + 7, n // 4), (1, 3), (0, 5), (n - 1, n - 1)]
+        cases += [(rng.randrange(n), rng.randrange(1, n)) for _ in range(200)]
+        for a, c in cases:
+            d = math.gcd(c, n)
+            m = dom.find_multiplier(a, c, 0)
+            if a % d < a:
+                assert m is not None and 0 <= m < n // d
+                assert (a - m * c) % n == a % d
+            else:
+                assert m is None
+
     def test_zero_ring(self):
         m1 = make_integer_quotient_domain(1)
         assert m1.enumerate_carrier() == [0]
@@ -171,6 +209,22 @@ class TestIntegerQuotient:
     def test_axioms_exhaustive_small_moduli(self):
         for n in (1, 2, 6, 24):
             assert check_axioms(make_integer_quotient_domain(n)).ok
+
+    def test_axioms_exhaustive_up_to_the_bound_then_sampled(self):
+        assert check_axioms(make_integer_quotient_domain(60)).mode == "exhaustive"
+        for n in (61, 1000, 2**64):
+            report = check_axioms(make_integer_quotient_domain(n))
+            assert report.mode == "sampled" and report.ok, n
+            assert report.to_dict()["mode"] == "sampled"
+
+    def test_sampled_axioms_detect_a_broken_witness(self):
+        class BrokenWitness(IntegerQuotientDomain):
+            def find_multiplier(self, a, c, index):
+                return 0 if c % self.n else None
+
+        report = check_axioms(BrokenWitness(1000))
+        assert report.mode == "sampled"
+        assert "reduction-decreases" in {c.name for c in report.failures()}
 
     def test_parse_reduces_mod_n(self):
         m24 = make_integer_quotient_domain(24)
