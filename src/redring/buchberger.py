@@ -1,13 +1,21 @@
 """Critical-pair completion: the generalized Buchberger algorithm.
 
 ``gb`` processes every index pair of the evolving basis (self-pairs
-included).  For each pair and each pair of multiplier indices it walks the
-domain's canonical minimal common reducibles z, forms the critical pair by
-one reduction step on each side, totally reduces both sides modulo the
-current basis, and appends the difference h of the two normal forms whenever
-it is nonzero, queueing the pairs that involve h.  Every appended element
-carries an exact cofactor row over the original generators, and the whole
-run is logged in a replayable trace.
+included).  ``critical_pairs`` walks, for each pair of multiplier indices,
+the domain's canonical minimal common reducibles (mntcrs) z and forms each
+critical pair by one reduction step on each side; ``gb`` totally reduces
+both sides modulo the current basis and appends the difference h of the two
+normal forms whenever it is nonzero, queueing the pairs that involve h.
+Every appended element carries an exact cofactor row over the original
+generators, and the whole run is logged in a replayable trace.
+
+``is_groebner_basis`` walks the same pairs and skips those that provably
+join: equal sides (sound in every domain); distinct elements with coprime
+leads (the product criterion, through the optional ``coprime_leads`` hook
+that only field-coefficient polynomials provide); and mntcrs the chain
+criterion covers, where a pair is done only once all its mntcrs joined or
+were skipped, so every skip rests on earlier pairs alone.  Skipped mntcrs
+are not re-checked for the mntcr contract; ``check_axioms`` tests it.
 """
 
 from __future__ import annotations
@@ -72,14 +80,27 @@ class GBResult(NamedTuple):
 
 
 def critical_pair(dom: Domain, z, g1, i1, g2, i2) -> tuple:
-    """The two one-step reducts of z modulo {g1} at i1 and {g2} at i2."""
+    """(m1, a1, m2, a2): the one-step reducts a_k = z - m_k*g_k of z at i1 and i2."""
     m1 = dom.find_multiplier(z, g1, i1)
     m2 = dom.find_multiplier(z, g2, i2)
     if m1 is None or m2 is None:
-        raise ContractViolationError(
-            f"mntcr {dom.render(z)} is not reducible by both generators"
-        )
-    return dom.sub(z, dom.mul(m1, g1)), dom.sub(z, dom.mul(m2, g2))
+        raise ContractViolationError(f"mntcr {dom.render(z)} is not reducible by both generators")
+    return m1, dom.sub(z, dom.mul(m1, g1)), m2, dom.sub(z, dom.mul(m2, g2))
+
+
+def critical_pairs(dom: Domain, state: GBState, i: int, j: int, chain: bool):
+    """Yield (z, i1, i2, pair) for each mntcr z of basis elements i and j.
+
+    Index pairs (i1, i2) come in declared order; ``pair`` is ``critical_pair``
+    of z, or None where ``chain`` is set and the chain criterion skips z
+    against the state as it stands when the item is requested.
+    """
+    g1, g2 = state.basis[i], state.basis[j]
+    indices = dom.multiplier_indices
+    walk = [(z, i1, i2) for i1 in indices for i2 in indices for z in dom.mntcrs(g1, i1, g2, i2)]
+    for z, i1, i2 in walk:
+        skip = chain and chain_criterion_skip(dom, state, i, j, z)
+        yield z, i1, i2, None if skip else critical_pair(dom, z, g1, i1, g2, i2)
 
 
 def chain_criterion_skip(dom: Domain, state: GBState, i: int, j: int, z) -> bool:
@@ -89,19 +110,12 @@ def chain_criterion_skip(dom: Domain, state: GBState, i: int, j: int, z) -> bool
     pairs of k with i and j have been processed.  Domains without a
     single-element reducibility test never skip.
     """
-    test = dom.single_reducibility_test
-    if not callable(test):
-        return False
-    for k in range(len(state.basis)):
-        if k == i or k == j:
-            continue
-        if not test(z, state.basis[k]):
-            continue
-        side_a = (min(i, k), max(i, k))
-        side_b = (min(j, k), max(j, k))
-        if side_a in state.done and side_b in state.done:
-            return True
-    return False
+    test, done = dom.single_reducibility_test, state.done
+    return callable(test) and any(
+        (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done and test(z, g)
+        for k, g in enumerate(state.basis)
+        if k != i and k != j
+    )
 
 
 def _add_into(dom: Domain, acc: dict, pos: int, value) -> None:
@@ -141,39 +155,24 @@ def gb(
     state = GBState(basis=basis, pair_queue=queue)
     while queue:
         if trace.pairs_processed >= max_pairs:
-            raise NonTerminationError(
-                f"pair queue did not empty within {max_pairs} pairs"
-            )
+            raise NonTerminationError(f"pair queue did not empty within {max_pairs} pairs")
         i, j = queue.popleft()
         trace.pairs_processed += 1
         trace.emit(f"pair {i} {j}")
-        pending = []
-        for i1 in dom.multiplier_indices:
-            for i2 in dom.multiplier_indices:
-                for z in dom.mntcrs(basis[i], i1, basis[j], i2):
-                    pending.append((z, (i1, i2)))
-        for z, (i1, i2) in pending:
+        for z, i1, i2, pair in critical_pairs(dom, state, i, j, use_chain):
             trace.emit(f"mntcr {dom.render(z)} indices {i1} {i2}")
-            if use_chain and chain_criterion_skip(dom, state, i, j, z):
+            if pair is None:
                 trace.chain_skips += 1
                 trace.emit("skip chain-criterion")
                 continue
-            m1 = dom.find_multiplier(z, basis[i], i1)
-            m2 = dom.find_multiplier(z, basis[j], i2)
-            if m1 is None or m2 is None:
-                raise ContractViolationError(
-                    f"mntcr {dom.render(z)} is not reducible by both generators"
-                )
-            a1 = dom.sub(z, dom.mul(m1, basis[i]))
-            a2 = dom.sub(z, dom.mul(m2, basis[j]))
+            m1, a1, m2, a2 = pair
             trace.critical_pairs_reduced += 1
             trace.emit(f"critical {dom.render(a1)} | {dom.render(a2)}")
             nf1, certs1 = normal_form(dom, a1, basis, max_steps)
-            nf2, certs2 = normal_form(dom, a2, basis, max_steps)
-            trace.emit(
-                f"reduced {dom.render(nf1)} | {dom.render(nf2)}"
-                f" steps {len(certs1)} {len(certs2)}"
-            )
+            same = dom.equal(a1, a2)  # normal_form is deterministic: reuse side 1
+            nf2, certs2 = (nf1, certs1) if same else normal_form(dom, a2, basis, max_steps)
+            steps = f"steps {len(certs1)} {len(certs2)}"
+            trace.emit(f"reduced {dom.render(nf1)} | {dom.render(nf2)} {steps}")
             h = dom.sub(nf1, nf2)
             if dom.is_zero(h):
                 trace.emit("h zero")
@@ -207,24 +206,24 @@ def gb(
     return GBResult(tuple(basis), rows_out, trace)
 
 
-def is_groebner_basis(
-    dom: Domain, basis: Sequence, *, max_steps: int = DEFAULT_STEP_BOUND
-) -> bool:
-    """The finite criterion: every critical pair joins at equal normal forms."""
+def is_groebner_basis(dom: Domain, basis: Sequence, *, max_steps: int = DEFAULT_STEP_BOUND) -> bool:
+    """The finite criterion: every critical pair joins (skipped pairs: module docstring)."""
     G = list(basis)
-    for g in G:
-        if dom.is_zero(g):
-            raise ValueError("basis must be zero-free")
+    if any(dom.is_zero(g) for g in G):
+        raise ValueError("basis must be zero-free")
+    state = GBState(basis=G, pair_queue=deque())
+    chain, coprime = callable(dom.single_reducibility_test), dom.coprime_leads
     for j in range(len(G)):
         for i in range(j + 1):
-            for i1 in dom.multiplier_indices:
-                for i2 in dom.multiplier_indices:
-                    for z in dom.mntcrs(G[i], i1, G[j], i2):
-                        a1, a2 = critical_pair(dom, z, G[i], i1, G[j], i2)
-                        nf1, _ = normal_form(dom, a1, G, max_steps)
-                        nf2, _ = normal_form(dom, a2, G, max_steps)
-                        if not dom.is_zero(dom.sub(nf1, nf2)):
-                            return False
+            if i == j or not callable(coprime) or not coprime(G[i], G[j]):
+                for _z, _i1, _i2, pair in critical_pairs(dom, state, i, j, chain):
+                    if pair is None or dom.equal(pair[1], pair[3]):
+                        continue
+                    nf1, _ = normal_form(dom, pair[1], G, max_steps)
+                    nf2, _ = normal_form(dom, pair[3], G, max_steps)
+                    if not dom.is_zero(dom.sub(nf1, nf2)):
+                        return False
+            state.done.add((i, j))
     return True
 
 

@@ -305,7 +305,7 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
         "--chain-criterion",
         choices=("on", "off"),
         default=None,
-        help="force the chain criterion (default: on for polynomial rings)",
+        help="force the chain criterion (default: on for polynomial rings over q)",
     )
     sub.add_argument(
         "--max-steps", type=int, default=10**6, help="reduction/pair step cap"

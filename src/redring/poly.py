@@ -267,6 +267,10 @@ class PolyRing(Domain):
         self.nvars = len(self.names)
         self.name = f"{coeff.name}[{','.join(self.names)}]/{order.kind}"
         self.multiplier_indices = tuple(coeff.multiplier_indices) + ("ann",)
+        if not coeff.is_field:
+            # the chain and product criteria hold only where reducibility is
+            # pure power-product divisibility, i.e. over field coefficients
+            self.single_reducibility_test = self.coprime_leads = None
         self.zero = Polynomial(self, ())
         self.one = self.poly([(coeff.one, (0,) * self.nvars)])
 
@@ -499,15 +503,23 @@ class PolyRing(Domain):
         return out
 
     def single_reducibility_test(self, z: Polynomial, g: Polynomial) -> bool:
-        # sound for the chain criterion only where reducibility is pure
-        # power-product divisibility: over ring coefficients the side pairs
-        # see different coefficient parts of z, so never report a subsumer
-        if not self.coeff.is_field:
-            return False
+        """Whether g alone reduces z.  Field coefficients only (see ``__init__``).
+
+        Over ring coefficients the side pairs of the chain criterion see
+        different coefficient parts of z, so no single test is sound there.
+        """
         return any(
             self.find_multiplier(z, g, index) is not None
             for index in self.multiplier_indices
         )
+
+    def coprime_leads(self, g1: Polynomial, g2: Polynomial) -> bool:
+        """Whether the leading power products share no variable.  Field coefficients only.
+
+        Then the pair's S-polynomial has a representation below the lcm of
+        the leads (Buchberger's product criterion), so it needs no reduction.
+        """
+        return not any(map(min, g1.terms[0].pp, g2.terms[0].pp))
 
     def monic(self, p: Polynomial) -> Polynomial:
         """Scale by the inverse leading coefficient; field coefficients only."""

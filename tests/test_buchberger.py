@@ -42,21 +42,21 @@ class TwoIndexField(RationalFieldDomain):
 
 
 def test_critical_pair_field_example():
-    a1, a2 = critical_pair(Q, Fraction(1), Fraction(2), 0, Fraction(3), 0)
+    _m1, a1, _m2, a2 = critical_pair(Q, Fraction(1), Fraction(2), 0, Fraction(3), 0)
     assert a1 == 0 and a2 == 0
 
 
 def test_critical_pair_self_pair_is_symmetric():
     z = Z.mntcrs(6, 0, 6, 0)[0]
-    a1, a2 = critical_pair(Z, z, 6, 0, 6, 0)
-    assert a1 == a2
+    m1, a1, m2, a2 = critical_pair(Z, z, 6, 0, 6, 0)
+    assert m1 == m2 and a1 == a2
 
 
 def test_critical_pair_replays_certificates():
     z = Z.mntcrs(4, 0, 6, 0)[0]
-    a1, a2 = critical_pair(Z, z, 4, 0, 6, 0)
-    m1 = Z.find_multiplier(z, 4, 0)
-    m2 = Z.find_multiplier(z, 6, 0)
+    m1, a1, m2, a2 = critical_pair(Z, z, 4, 0, 6, 0)
+    assert m1 == Z.find_multiplier(z, 4, 0)
+    assert m2 == Z.find_multiplier(z, 6, 0)
     assert a1 == z - m1 * 4
     assert a2 == z - m2 * 6
     assert Z.less(a1, z) and Z.less(a2, z)
@@ -394,3 +394,116 @@ def test_golden_replay(name):
     assert tuple(R.render(g) for g in res.basis) == basis
     assert res.trace.digest() == digest
     assert verify_cofactors(R, res.rows, gens)
+
+
+def reference_is_groebner_basis(dom, basis):
+    """The finite criterion with no pair criterion: every mntcr of every pair is reduced."""
+    G = list(basis)
+    for j in range(len(G)):
+        for i in range(j + 1):
+            for i1 in dom.multiplier_indices:
+                for i2 in dom.multiplier_indices:
+                    for z in dom.mntcrs(G[i], i1, G[j], i2):
+                        a1 = dom.sub(z, dom.mul(dom.find_multiplier(z, G[i], i1), G[i]))
+                        a2 = dom.sub(z, dom.mul(dom.find_multiplier(z, G[j], i2), G[j]))
+                        nf1, _ = normal_form(dom, a1, G)
+                        nf2, _ = normal_form(dom, a2, G)
+                        if not dom.is_zero(dom.sub(nf1, nf2)):
+                            return False
+    return True
+
+
+# (coefficients, variables, order, largest exponent and largest coefficient
+# magnitude in a random generator); random Z[x,y,z] systems complete within
+# a second only with small exponents and coefficients
+CHECKER_RINGS = {
+    "q-degrevlex": (Q, "xyz", "degrevlex", 2, 9),
+    "q-lex": (Q, "xyz", "lex", 2, 9),
+    "z24": (make_integer_quotient_domain(24), "xy", "degrevlex", 2, 9),
+    "z360": (make_integer_quotient_domain(360), "xy", "degrevlex", 2, 9),
+    "zxyz": (Z, "xyz", "degrevlex", 1, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKER_RINGS))
+def test_checker_agrees_with_reference(name):
+    coeff, names, order, top, size = CHECKER_RINGS[name]
+    R = make_poly_domain(coeff, tuple(names), order)
+    rng = random.Random(name)
+    verdicts = []
+    for _ in range(8):
+        gens = []
+        while len(gens) < rng.randint(2, 3):
+            items = []
+            for _ in range(rng.randint(1, 3)):
+                c = coeff.parse(str(rng.randint(-size, size)))
+                items.append((c, tuple(rng.randint(0, top) for _ in names)))
+            p = R.poly(items)
+            if not p.is_zero:
+                gens.append(p)
+        basis = gb(R, gens).basis
+        for candidate in (basis, basis[:-1], basis[1:], tuple(gens)):
+            verdict = reference_is_groebner_basis(R, candidate)
+            assert is_groebner_basis(R, candidate) is verdict, [R.render(g) for g in candidate]
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize(
+    "coeff, names, texts",
+    [
+        # the leads pairwise share a variable, and each divides the lcm of the
+        # other two: only the order of the done set keeps the chain criterion
+        # from skipping every pair
+        (Q, "xyz", ("x*y - z", "y*z - x", "x*z - y")),
+        # coprime leads, but over ring coefficients the pair does not join
+        (make_integer_quotient_domain(360), "xy", ("300*y^2", "171*x")),
+        # one element: only its self-pairs at different indices can fail
+        (make_integer_quotient_domain(24), "xy", ("4*x + y",)),
+    ],
+    ids=["q-chain-cycle", "z360-coprime-leads", "z24-self-pairs"],
+)
+def test_checker_rejects_pinned_non_bases(coeff, names, texts):
+    R = make_poly_domain(coeff, tuple(names), "degrevlex")
+    G = [R.parse(t) for t in texts]
+    assert reference_is_groebner_basis(R, G) is False
+    assert is_groebner_basis(R, G) is False
+
+
+def test_checker_rejects_katsura3_without_last_element():
+    coeff, names, _texts, _digest, basis = GOLDEN["katsura3"]
+    R = make_poly_domain(coeff, tuple(names), "degrevlex")
+    G = [R.parse(t) for t in basis]
+    assert is_groebner_basis(R, G)
+    assert is_groebner_basis(R, G[:-1]) is False
+
+
+def test_checker_skips_pairs_that_provably_join(monkeypatch):
+    import redring.buchberger as engine
+
+    coeff, names, texts, _digest, _basis = GOLDEN["cyclic4"]
+    R = make_poly_domain(coeff, tuple(names), "degrevlex")
+    G = gb(R, [R.parse(t) for t in texts]).basis
+    calls = []
+    real = engine.normal_form
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "normal_form", counted)
+    assert is_groebner_basis(R, G)
+    n = len(G)
+    formed = sum(len(R.mntcrs(G[i], 0, G[j], 0)) for j in range(n) for i in range(j + 1))
+    # every pair has one mntcr; at least the n self-pairs need no reduction
+    assert len(calls) <= 2 * (formed - n)
+
+
+def test_pair_criterion_hooks_only_over_field_coefficients():
+    for coeff in (make_integer_quotient_domain(24), Z):
+        R = make_poly_domain(coeff, ("x", "y"), "degrevlex")
+        assert R.single_reducibility_test is None and R.coprime_leads is None
+    R = make_poly_domain(Q, ("x", "y"), "degrevlex")
+    assert R.coprime_leads(R.parse("x^2 + y"), R.parse("y^3"))
+    assert not R.coprime_leads(R.parse("x*y"), R.parse("y^3 + x"))
+    assert R.single_reducibility_test(R.parse("x^2*y"), R.parse("x*y + 1"))

@@ -191,6 +191,12 @@ def test_ideal_congruence_examples():
     assert not ideal_congruence_holds(Z, 3, 0, [4, 6], search_bound=6)
 
 
+def test_ideal_congruence_refuses_huge_carriers():
+    with pytest.raises(ValueError, match=str(2**64)):
+        ideal_congruence_holds(IntegerQuotientDomain(2**64), 3, 0, [6])
+    assert ideal_congruence_holds(IntegerQuotientDomain(2**64), 3, 3, [6])  # a == b
+
+
 def test_ideal_congruence_matches_closure_on_z24():
     rng = random.Random(21)
     for _ in range(20):

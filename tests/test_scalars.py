@@ -226,6 +226,15 @@ class TestIntegerQuotient:
         assert report.mode == "sampled"
         assert "reduction-decreases" in {c.name for c in report.failures()}
 
+    def test_sampled_axioms_test_zero_and_one(self):
+        class ZeroBelowItself(IntegerQuotientDomain):
+            def less(self, a, b):
+                return a == b == 0 or super().less(a, b)
+
+        report = check_axioms(ZeroBelowItself(1000))
+        assert report.mode == "sampled"
+        assert "order-irreflexive" in {c.name for c in report.failures()}
+
     def test_parse_reduces_mod_n(self):
         m24 = make_integer_quotient_domain(24)
         assert m24.parse("-3") == 21
