@@ -10,7 +10,6 @@ any n, and multivariate polynomial rings over any of them.
 from .buchberger import (
     CofactorRow,
     GBResult,
-    GBState,
     GBTrace,
     chain_criterion_skip,
     critical_pair,
@@ -60,7 +59,6 @@ from .scalars import (
     make_field_domain,
     make_integer_domain,
     make_integer_quotient_domain,
-    normalize_sign,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +70,6 @@ __all__ = [
     "Domain",
     "FiniteRelation",
     "GBResult",
-    "GBState",
     "GBTrace",
     "IntegerDomain",
     "IntegerQuotientDomain",
@@ -102,7 +99,6 @@ __all__ = [
     "member_ideal",
     "mono_mul",
     "normal_form",
-    "normalize_sign",
     "pp_divides",
     "pp_lcm",
     "pp_mul",

@@ -1,29 +1,32 @@
 """Critical-pair completion: the generalized Buchberger algorithm.
 
-``gb`` processes every index pair of the evolving basis (self-pairs
-included).  ``critical_pairs`` walks, for each pair of multiplier indices,
-the domain's canonical minimal common reducibles (mntcrs) z and forms each
-critical pair by one reduction step on each side; ``gb`` totally reduces
-both sides modulo the current basis and appends the difference h of the two
-normal forms whenever it is nonzero, queueing the pairs that involve h.
-Every appended element carries an exact cofactor row over the original
-generators, and the whole run is logged in a replayable trace.
+``gb`` and ``is_groebner_basis`` share one pair walk.  ``index_pairs``
+yields every index pair (i, j), i <= j, of a basis that may grow while it
+is walked, self-pairs included, in j-major order, so the pairs of an
+appended element follow all earlier ones.  ``critical_pairs`` walks, for
+each pair of multiplier indices, the domain's canonical minimal common
+reducibles (mntcrs) z, and says which of them the chain criterion skips;
+the caller forms each other critical pair by one reduction step on each
+side (``critical_pair``).  ``gb`` totally reduces both sides modulo the
+current basis and appends the difference h of the two normal forms whenever
+it is nonzero.  Every appended element carries an exact cofactor row over
+the original generators, and the whole run is logged in a replayable trace.
 
 ``is_groebner_basis`` walks the same pairs and skips those that provably
-join: equal sides (sound in every domain); distinct elements with coprime
-leads (the product criterion, through the optional ``coprime_leads`` hook
-that only field-coefficient polynomials provide); and mntcrs the chain
-criterion covers, where a pair is done only once all its mntcrs joined or
-were skipped, so every skip rests on earlier pairs alone.  Skipped mntcrs
-are not re-checked for the mntcr contract; ``check_axioms`` tests it.
+join: self-pairs at one multiplier index and other equal sides (sound in
+every domain); distinct elements with coprime leads (the product
+criterion, through the optional ``coprime_leads`` hook that only
+field-coefficient polynomials provide); and mntcrs the chain criterion
+covers, where a pair is done only once all its mntcrs joined or were
+skipped, so every skip rests on earlier pairs alone.  Skipped mntcrs are
+not re-checked for the mntcr contract; ``check_axioms`` tests it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, NamedTuple, Sequence
 
 from .core import (
     DEFAULT_STEP_BOUND,
@@ -34,15 +37,6 @@ from .core import (
 )
 
 DEFAULT_PAIR_BOUND = 200_000
-
-
-@dataclass
-class GBState:
-    """The completion machine: basis, pair queue and the processed pairs."""
-
-    basis: list
-    pair_queue: deque
-    done: set = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -88,32 +82,44 @@ def critical_pair(dom: Domain, z, g1, i1, g2, i2) -> tuple:
     return m1, dom.sub(z, dom.mul(m1, g1)), m2, dom.sub(z, dom.mul(m2, g2))
 
 
-def critical_pairs(dom: Domain, state: GBState, i: int, j: int, chain: bool):
-    """Yield (z, i1, i2, pair) for each mntcr z of basis elements i and j.
+def index_pairs(basis: list):
+    """Yield (i, j), i <= j, for every index pair of ``basis`` in j-major order.
 
-    Index pairs (i1, i2) come in declared order; ``pair`` is ``critical_pair``
-    of z, or None where ``chain`` is set and the chain criterion skips z
-    against the state as it stands when the item is requested.
+    The list may grow during the walk; each appended element's pairs come
+    after all earlier ones.
     """
-    g1, g2 = state.basis[i], state.basis[j]
+    j = 0
+    while j < len(basis):
+        for i in range(j + 1):
+            yield i, j
+        j += 1
+
+
+def critical_pairs(dom: Domain, basis: list, done: set, i: int, j: int, chain: bool):
+    """Yield (z, i1, i2, skip) for each mntcr z of basis elements i and j.
+
+    Index pairs (i1, i2) come in declared order; ``skip`` is set where
+    ``chain`` is set and the chain criterion skips z against ``basis`` and
+    ``done`` as they stand when the item is requested.
+    """
+    g1, g2 = basis[i], basis[j]
     indices = dom.multiplier_indices
     walk = [(z, i1, i2) for i1 in indices for i2 in indices for z in dom.mntcrs(g1, i1, g2, i2)]
     for z, i1, i2 in walk:
-        skip = chain and chain_criterion_skip(dom, state, i, j, z)
-        yield z, i1, i2, None if skip else critical_pair(dom, z, g1, i1, g2, i2)
+        yield z, i1, i2, chain and chain_criterion_skip(dom, basis, done, i, j, z)
 
 
-def chain_criterion_skip(dom: Domain, state: GBState, i: int, j: int, z) -> bool:
+def chain_criterion_skip(dom: Domain, basis: Sequence, done: set, i: int, j: int, z) -> bool:
     """Whether a third basis element already subsumes the pair (i, j) at z.
 
     True iff some k distinct from i and j reduces z on its own and both side
-    pairs of k with i and j have been processed.  Domains without a
+    pairs of k with i and j are in ``done``.  Domains without a
     single-element reducibility test never skip.
     """
-    test, done = dom.single_reducibility_test, state.done
+    test = dom.single_reducibility_test
     return callable(test) and any(
         (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done and test(z, g)
-        for k, g in enumerate(state.basis)
+        for k, g in enumerate(basis)
         if k != i and k != j
     )
 
@@ -129,7 +135,7 @@ def gb(
     dom: Domain,
     generators: Sequence,
     *,
-    chain_criterion: Optional[bool] = None,
+    chain_criterion: bool = True,
     max_steps: int = DEFAULT_STEP_BOUND,
     max_pairs: int = DEFAULT_PAIR_BOUND,
 ) -> GBResult:
@@ -137,8 +143,9 @@ def gb(
 
     Returns the basis (input's nonzero elements as a prefix), one cofactor
     row per appended element, and the trace.  Zero generators are dropped up
-    front.  ``chain_criterion`` defaults to on exactly when the domain
-    provides a single-element reducibility test.
+    front.  The chain criterion runs where ``chain_criterion`` is set and
+    the domain provides a single-element reducibility test; elsewhere it
+    could never skip a pair.
     """
     kept = [(k, g) for k, g in enumerate(generators) if not dom.is_zero(g)]
     basis = [g for _, g in kept]
@@ -146,26 +153,22 @@ def gb(
     basis_rows: list = [{orig: dom.one} for orig, _ in kept]
     rows_out: list = []
     trace = GBTrace()
-    use_chain = (
-        callable(dom.single_reducibility_test) if chain_criterion is None else chain_criterion
-    )
+    use_chain = chain_criterion and callable(dom.single_reducibility_test)
     for pos, g in enumerate(basis):
         trace.emit(f"init {pos} {dom.render(g)}")
-    queue: deque = deque((i, j) for j in range(len(basis)) for i in range(j + 1))
-    state = GBState(basis=basis, pair_queue=queue)
-    while queue:
+    done: set = set()
+    for i, j in index_pairs(basis):
         if trace.pairs_processed >= max_pairs:
-            raise NonTerminationError(f"pair queue did not empty within {max_pairs} pairs")
-        i, j = queue.popleft()
+            raise NonTerminationError(f"pair walk did not finish within {max_pairs} pairs")
         trace.pairs_processed += 1
         trace.emit(f"pair {i} {j}")
-        for z, i1, i2, pair in critical_pairs(dom, state, i, j, use_chain):
+        for z, i1, i2, skip in critical_pairs(dom, basis, done, i, j, use_chain):
             trace.emit(f"mntcr {dom.render(z)} indices {i1} {i2}")
-            if pair is None:
+            if skip:
                 trace.chain_skips += 1
                 trace.emit("skip chain-criterion")
                 continue
-            m1, a1, m2, a2 = pair
+            m1, a1, m2, a2 = critical_pair(dom, z, basis[i], i1, basis[j], i2)
             trace.critical_pairs_reduced += 1
             trace.emit(f"critical {dom.render(a1)} | {dom.render(a2)}")
             nf1, certs1 = normal_form(dom, a1, basis, max_steps)
@@ -191,15 +194,13 @@ def gb(
                 for orig, base_mult in basis_rows[pos].items():
                     _add_into(dom, row, orig, dom.mul(mult, base_mult))
             row = {orig: v for orig, v in sorted(row.items()) if not dom.is_zero(v)}
-            new = len(basis)
+            new = len(basis)  # the walk reaches (k, new) for every k <= new
             basis.append(h)
             basis_rows.append(row)
             rows_out.append(CofactorRow(h, row))
             trace.additions += 1
             trace.emit(f"add {new} {dom.render(h)}")
-            for k in range(new + 1):
-                queue.append((k, new))
-        state.done.add((i, j))
+        done.add((i, j))
         trace.emit(f"done {i} {j}")
     for g in basis:
         trace.emit(f"final {dom.render(g)}")
@@ -211,19 +212,21 @@ def is_groebner_basis(dom: Domain, basis: Sequence, *, max_steps: int = DEFAULT_
     G = list(basis)
     if any(dom.is_zero(g) for g in G):
         raise ValueError("basis must be zero-free")
-    state = GBState(basis=G, pair_queue=deque())
+    done: set = set()
     chain, coprime = callable(dom.single_reducibility_test), dom.coprime_leads
-    for j in range(len(G)):
-        for i in range(j + 1):
-            if i == j or not callable(coprime) or not coprime(G[i], G[j]):
-                for _z, _i1, _i2, pair in critical_pairs(dom, state, i, j, chain):
-                    if pair is None or dom.equal(pair[1], pair[3]):
-                        continue
-                    nf1, _ = normal_form(dom, pair[1], G, max_steps)
-                    nf2, _ = normal_form(dom, pair[3], G, max_steps)
-                    if not dom.is_zero(dom.sub(nf1, nf2)):
-                        return False
-            state.done.add((i, j))
+    for i, j in index_pairs(G):
+        if i == j or not callable(coprime) or not coprime(G[i], G[j]):
+            for z, i1, i2, skip in critical_pairs(dom, G, done, i, j, chain):
+                if skip or (i == j and i1 == i2):
+                    continue
+                _m1, a1, _m2, a2 = critical_pair(dom, z, G[i], i1, G[j], i2)
+                if dom.equal(a1, a2):
+                    continue
+                nf1, _ = normal_form(dom, a1, G, max_steps)
+                nf2, _ = normal_form(dom, a2, G, max_steps)
+                if not dom.is_zero(dom.sub(nf1, nf2)):
+                    return False
+        done.add((i, j))
     return True
 
 

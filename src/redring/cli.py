@@ -34,14 +34,11 @@ from .core import (
     check_axioms,
     normal_form,
 )
-from .poly import PolyRing, make_poly_domain
+from .poly import make_poly_domain
 from .scalars import (
-    IntegerDomain,
-    RationalFieldDomain,
     make_field_domain,
     make_integer_domain,
     make_integer_quotient_domain,
-    normalize_sign,
 )
 
 
@@ -152,24 +149,6 @@ def _resolve(pf: ProblemFile, args) -> tuple:
     return dom, gens, probes
 
 
-def _monic_view(dom: Domain, element):
-    if isinstance(dom, RationalFieldDomain):
-        return dom.one if element != 0 else element
-    if isinstance(dom, IntegerDomain):
-        return normalize_sign(element)
-    if isinstance(dom, PolyRing) and isinstance(dom.coeff, RationalFieldDomain):
-        return dom.monic(element)
-    return element
-
-
-def _chain_flag(args) -> Optional[bool]:
-    if args.chain_criterion == "on":
-        return True
-    if args.chain_criterion == "off":
-        return False
-    return None
-
-
 def _cmd_gb(args) -> int:
     pf = parse_problem_text(_read(args.problem))
     dom, gens, _probes = _resolve(pf, args)
@@ -177,14 +156,12 @@ def _cmd_gb(args) -> int:
     result = gb(
         dom,
         gens,
-        chain_criterion=_chain_flag(args),
+        chain_criterion=args.chain_criterion == "on",
         max_steps=args.max_steps,
         max_pairs=args.max_steps,
     )
     elapsed = time.perf_counter() - started
-    shown = [
-        _monic_view(dom, g) if args.monic else g for g in result.basis
-    ]
+    shown = [dom.canonical_associate(g) if args.monic else g for g in result.basis]
     if args.certify and not verify_cofactors(dom, result.rows, gens):
         print("cofactors: FAILED", file=sys.stderr)
         return 1
@@ -238,7 +215,7 @@ def _cmd_member(args) -> int:
     basis = gb(
         dom,
         gens,
-        chain_criterion=_chain_flag(args),
+        chain_criterion=args.chain_criterion == "on",
         max_steps=args.max_steps,
         max_pairs=args.max_steps,
     ).basis
@@ -304,8 +281,9 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--chain-criterion",
         choices=("on", "off"),
-        default=None,
-        help="force the chain criterion (default: on for polynomial rings over q)",
+        default="on",
+        help="pair-skipping chain criterion (default on; it can skip pairs only"
+        " in polynomial rings over q)",
     )
     sub.add_argument(
         "--max-steps", type=int, default=10**6, help="reduction/pair step cap"

@@ -45,12 +45,13 @@ class Domain:
 
     ``enumerate_carrier`` returns the full carrier for finite domains and
     None otherwise; ``carrier_size`` gives its length without building it
-    where the domain knows it.  Two optional hooks serve the pair criteria
-    and stay None where the domain has no sound, cheap test:
-    ``single_reducibility_test(z, c)``, whether c alone reduces z (chain
-    criterion), and ``coprime_leads(c1, c2)``, whether the critical pairs of
-    two distinct elements need no reduction because their leads are coprime
-    (product criterion).
+    where the domain knows it.  ``canonical_associate`` picks the display
+    representative of an element's associates (``redring gb --monic``).
+    Two optional hooks serve the pair criteria and stay None where the
+    domain has no sound, cheap test: ``single_reducibility_test(z, c)``,
+    whether c alone reduces z (chain criterion), and ``coprime_leads(c1,
+    c2)``, whether the critical pairs of two distinct elements need no
+    reduction because their leads are coprime (product criterion).
     """
 
     name = "domain"
@@ -118,14 +119,14 @@ class Domain:
         """
         return None
 
-    # hooks used by bounded ideal-congruence search
-    def solve_multiplier(self, target, c):
-        """Exact m with m*c = target, or None.  Optional."""
-        return None
+    def canonical_associate(self, a):
+        """The canonical display form of a's class of associates.
 
-    def small_multipliers(self, bound: int) -> Optional[list]:
-        """A finite multiplier grid for bounded combination search.  Optional."""
-        return None
+        The default is a itself; the rationals map every nonzero element to
+        one, the integers take the magnitude, and polynomial rings over a
+        field scale to a monic lead.
+        """
+        return a
 
     # syntax and sampling
     def render(self, a) -> str:
@@ -210,14 +211,15 @@ def project_reduction_relation(dom: Domain, basis: Sequence, universe: Iterable)
 CONGRUENCE_CARRIER_BOUND = 1000
 
 
-def ideal_congruence_holds(dom: Domain, a, b, basis: Sequence, search_bound: int = 4) -> bool:
+def ideal_congruence_holds(dom: Domain, a, b, basis: Sequence) -> bool:
     """Whether a - b lies in the ideal generated by the basis.
 
-    Exact on finite carriers of at most ``CONGRUENCE_CARRIER_BOUND`` elements
-    (additive closure of all multiples); a larger finite carrier raises
-    ValueError.  On infinite domains it tries exact single-generator
-    solutions and then a bounded multiplier grid, so a False answer is only
-    as strong as the bound.
+    Finite carriers of at most ``CONGRUENCE_CARRIER_BOUND`` elements take the
+    additive closure of all multiples, which does not use completion and so
+    serves as an oracle for it; a larger finite carrier raises ValueError.
+    Every other domain completes the basis and reduces a - b, which is
+    exact: a Groebner basis reduces exactly the elements of its ideal to
+    zero.
     """
     diff = dom.sub(a, b)
     if dom.is_zero(diff):
@@ -226,38 +228,27 @@ def ideal_congruence_holds(dom: Domain, a, b, basis: Sequence, search_bound: int
     if not gens:
         return False
     size = dom.carrier_size()
-    if size is not None and size > CONGRUENCE_CARRIER_BOUND:
+    if size is None:
+        from .buchberger import gb, member_ideal  # buchberger imports this module
+
+        return member_ideal(dom, diff, gb(dom, gens).basis)
+    if size > CONGRUENCE_CARRIER_BOUND:
         raise ValueError(
             f"carrier of {size} elements is above the {CONGRUENCE_CARRIER_BOUND}"
             " that ideal_congruence_holds closes exhaustively"
         )
     carrier = dom.enumerate_carrier()
-    if carrier is not None:
-        members = {dom.zero}
-        frontier = [dom.zero]
-        while frontier:
-            s = frontier.pop()
-            for c in gens:
-                for m in carrier:
-                    v = dom.add(s, dom.mul(m, c))
-                    if v not in members:
-                        members.add(v)
-                        frontier.append(v)
-        return diff in members
-    for c in gens:
-        m = dom.solve_multiplier(diff, c)
-        if m is not None and dom.equal(dom.mul(m, c), diff):
-            return True
-    grid = dom.small_multipliers(search_bound)
-    if grid is None:
-        return False
-    for combo in itertools.product(grid, repeat=len(gens)):
-        acc = dom.zero
-        for m, c in zip(combo, gens):
-            acc = dom.add(acc, dom.mul(m, c))
-        if dom.equal(acc, diff):
-            return True
-    return False
+    members = {dom.zero}
+    frontier = [dom.zero]
+    while frontier:
+        s = frontier.pop()
+        for c in gens:
+            for m in carrier:
+                v = dom.add(s, dom.mul(m, c))
+                if v not in members:
+                    members.add(v)
+                    frontier.append(v)
+    return diff in members
 
 
 @dataclass(frozen=True)

@@ -531,6 +531,10 @@ class PolyRing(Domain):
             return p
         return mono_mul(Monomial(inv, (0,) * self.nvars), p)
 
+    def canonical_associate(self, p: Polynomial) -> Polynomial:
+        """``monic`` over field coefficients, p itself otherwise."""
+        return self.monic(p) if self.coeff.is_field else p
+
     # syntax
     def render(self, p: Polynomial) -> str:
         if p.is_zero:

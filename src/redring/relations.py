@@ -7,7 +7,6 @@ infinite) reduction relation onto a finite universe before calling in.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -45,13 +44,13 @@ def reachable(rel: FiniteRelation, a) -> set:
     """All b with a ->* b, including a itself."""
     rel._require(a)
     out = {a}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
+    stack = [a]
+    while stack:
+        x = stack.pop()
         for src, dst in rel.steps:
             if src == x and dst not in out:
                 out.add(dst)
-                queue.append(dst)
+                stack.append(dst)
     return out
 
 
@@ -64,16 +63,16 @@ def equivalent(rel: FiniteRelation, a, b) -> bool:
 
 def _component(rel: FiniteRelation, a) -> set:
     out = {a}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
+    stack = [a]
+    while stack:
+        x = stack.pop()
         for src, dst in rel.steps:
             if src == x and dst not in out:
                 out.add(dst)
-                queue.append(dst)
+                stack.append(dst)
             if dst == x and src not in out:
                 out.add(src)
-                queue.append(src)
+                stack.append(src)
     return out
 
 
@@ -125,16 +124,16 @@ def connectible_below(
         return True
     allowed = {e for e in rel.elements if less(e, z)}
     seen = {a}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
+    stack = [a]
+    while stack:
+        x = stack.pop()
         for src, dst in rel.steps:
             for nxt in ((dst,) if src == x else ()) + ((src,) if dst == x else ()):
                 if nxt == b:
                     return True
                 if nxt in allowed and nxt not in seen:
                     seen.add(nxt)
-                    queue.append(nxt)
+                    stack.append(nxt)
     return False
 
 

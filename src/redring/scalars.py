@@ -52,10 +52,8 @@ class RationalFieldDomain(Domain):
         if a != 0 and c != 0:
             yield a / c, self.zero
 
-    def solve_multiplier(self, target, c):
-        if c == 0:
-            return None
-        return target / c
+    def canonical_associate(self, a):
+        return self.one if a != 0 else a
 
     def render(self, a) -> str:
         return str(a)
@@ -140,13 +138,8 @@ class IntegerDomain(Domain):
             if self.less(b, a):
                 yield m, b
 
-    def solve_multiplier(self, target, c):
-        if c == 0 or target % c != 0:
-            return None
-        return target // c
-
-    def small_multipliers(self, bound: int) -> list:
-        return list(range(-bound, bound + 1))
+    def canonical_associate(self, a) -> int:
+        return abs(a)
 
     def parse(self, text: str) -> int:
         try:
@@ -270,8 +263,3 @@ def make_integer_domain() -> IntegerDomain:
 def make_integer_quotient_domain(n: int) -> IntegerQuotientDomain:
     """Z/nZ as a reduction ring; n = 1 gives the zero ring."""
     return IntegerQuotientDomain(n)
-
-
-def normalize_sign(a: int) -> int:
-    """Canonical display form of an integer basis element (its magnitude)."""
-    return abs(a)

@@ -5,7 +5,6 @@ import pytest
 
 from redring.buchberger import (
     CofactorRow,
-    GBState,
     chain_criterion_skip,
     critical_pair,
     gb,
@@ -175,24 +174,20 @@ def test_verify_cofactors_empty_and_perturbed():
 def test_chain_criterion_size_two_basis_never_skips():
     R = make_poly_domain(Q, ("x", "y"), "lex")
     basis = [R.parse("x^2"), R.parse("y^2")]
-    state = GBState(basis=basis, pair_queue=None, done={(0, 0), (1, 1)})
     z = R.mntcrs(basis[0], 0, basis[1], 0)[0]
-    assert not chain_criterion_skip(R, state, 0, 1, z)
+    assert not chain_criterion_skip(R, basis, {(0, 0), (1, 1)}, 0, 1, z)
 
 
 def test_chain_criterion_skip_requires_both_side_pairs():
     R = make_poly_domain(Q, ("x", "y"), "lex")
     basis = [R.parse("x^2"), R.parse("y^2"), R.parse("x*y")]
     z = R.mntcrs(basis[0], 0, basis[1], 0)[0]  # x^2*y^2, divisible by x*y
-    both = GBState(basis=basis, pair_queue=None, done={(0, 2), (1, 2)})
-    assert chain_criterion_skip(R, both, 0, 1, z)
-    one = GBState(basis=basis, pair_queue=None, done={(0, 2)})
-    assert not chain_criterion_skip(R, one, 0, 1, z)
+    assert chain_criterion_skip(R, basis, {(0, 2), (1, 2)}, 0, 1, z)
+    assert not chain_criterion_skip(R, basis, {(0, 2)}, 0, 1, z)
 
 
 def test_chain_criterion_absent_without_domain_hook():
-    state = GBState(basis=[4, 6, 2], pair_queue=None, done={(0, 2), (1, 2)})
-    assert not chain_criterion_skip(Z, state, 0, 1, 12)
+    assert not chain_criterion_skip(Z, [4, 6, 2], {(0, 2), (1, 2)}, 0, 1, 12)
 
 
 def test_chain_criterion_never_fires_over_ring_coefficients():
@@ -497,6 +492,27 @@ def test_checker_skips_pairs_that_provably_join(monkeypatch):
     formed = sum(len(R.mntcrs(G[i], 0, G[j], 0)) for j in range(n) for i in range(j + 1))
     # every pair has one mntcr; at least the n self-pairs need no reduction
     assert len(calls) <= 2 * (formed - n)
+
+
+@pytest.mark.parametrize("name", ["cyclic4", "z24"])
+def test_checker_forms_no_self_pair_at_one_index(name, monkeypatch):
+    import redring.buchberger as engine
+
+    coeff, names, _texts, _digest, basis = GOLDEN[name]
+    R = make_poly_domain(coeff, tuple(names), "degrevlex")
+    G = [R.parse(t) for t in basis]
+    real = engine.critical_pair
+    formed = []
+
+    def recorded(dom, z, g1, i1, g2, i2):
+        formed.append((g1, i1, g2, i2))
+        return real(dom, z, g1, i1, g2, i2)
+
+    monkeypatch.setattr(engine, "critical_pair", recorded)
+    assert is_groebner_basis(R, G)
+    assert formed
+    # a self-pair at one multiplier index has equal sides: never formed
+    assert not [f for f in formed if f[0] is f[2] and f[1] == f[3]]
 
 
 def test_pair_criterion_hooks_only_over_field_coefficients():

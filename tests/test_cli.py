@@ -224,3 +224,15 @@ def test_classical_specialization_through_cli(problem, capsys):
     code, out, _ = run(capsys, ["gb", problem(QXY_PROBLEM), "--monic"])
     assert code == 0
     assert "x^2 - y" in out.splitlines()
+
+
+def test_chain_criterion_flag(problem, capsys):
+    path = problem(QXY_PROBLEM)
+    docs = {}
+    for flags in ((), ("--chain-criterion", "on"), ("--chain-criterion", "off")):
+        code, out, _ = run(capsys, ["gb", path, "--json", *flags])
+        assert code == 0
+        docs[flags] = json.loads(out)
+    default, on, off = docs.values()
+    assert on["trace_digest"] == default["trace_digest"]
+    assert off["chain_skips"] == 0

@@ -13,6 +13,7 @@ from redring.core import (
     project_reduction_relation,
     reduce_step,
 )
+from redring.poly import make_poly_domain
 from redring.relations import equivalent, is_church_rosser
 from redring.scalars import (
     IntegerQuotientDomain,
@@ -188,7 +189,16 @@ def test_ideal_congruence_examples():
     assert not ideal_congruence_holds(Z24, 1, 0, [6])
     assert ideal_congruence_holds(Q, Fraction(3), Fraction(1), [Fraction(7)])
     assert ideal_congruence_holds(Z, 10, 2, [4])
-    assert not ideal_congruence_holds(Z, 3, 0, [4, 6], search_bound=6)
+    assert not ideal_congruence_holds(Z, 3, 0, [4, 6])
+    assert ideal_congruence_holds(Z, 1, 0, [35, 55, 77])
+    QXY = make_poly_domain(Q, ("x", "y"), "degrevlex")
+    x, y = QXY.parse("x"), QXY.parse("y")
+    assert ideal_congruence_holds(QXY, QXY.parse("x*y"), QXY.zero, [x])
+    assert not ideal_congruence_holds(QXY, y, QXY.zero, [x])
+    Z24X = make_poly_domain(Z24, ("x",), "degrevlex")
+    two_x = Z24X.parse("2*x")
+    assert ideal_congruence_holds(Z24X, Z24X.parse("4*x"), Z24X.zero, [two_x])
+    assert not ideal_congruence_holds(Z24X, Z24X.parse("x"), Z24X.zero, [two_x])
 
 
 def test_ideal_congruence_refuses_huge_carriers():

@@ -9,11 +9,11 @@ from redring.core import check_axioms, is_reducible, normal_form, project_reduct
 from redring.oracles import exhaustive_ideal_oracle, gcd_membership_oracle
 from redring.relations import equivalent, is_church_rosser
 from redring.scalars import (
+    IntegerDomain,
     IntegerQuotientDomain,
     make_field_domain,
     make_integer_domain,
     make_integer_quotient_domain,
-    normalize_sign,
 )
 
 Q = make_field_domain()
@@ -243,6 +243,6 @@ class TestIntegerQuotient:
 
 
 def test_normalize_sign():
-    assert normalize_sign(-2) == 2
-    assert normalize_sign(0) == 0
-    assert normalize_sign(7) == 7
+    assert IntegerDomain().canonical_associate(-2) == 2
+    assert IntegerDomain().canonical_associate(0) == 0
+    assert IntegerDomain().canonical_associate(7) == 7
