@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from .relations import FiniteRelation
+from .relations import FiniteRelation, find_cycle
 
 DEFAULT_STEP_BOUND = 10**6
 
@@ -47,11 +47,14 @@ class Domain:
     None otherwise; ``carrier_size`` gives its length without building it
     where the domain knows it.  ``canonical_associate`` picks the display
     representative of an element's associates (``redring gb --monic``).
-    Two optional hooks serve the pair criteria and stay None where the
-    domain has no sound, cheap test: ``single_reducibility_test(z, c)``,
-    whether c alone reduces z (chain criterion), and ``coprime_leads(c1,
-    c2)``, whether the critical pairs of two distinct elements need no
-    reduction because their leads are coprime (product criterion).
+    Three optional hooks stay None where the domain has no sound, cheap
+    answer: ``single_reducibility_test(z, c)``, whether c alone reduces z
+    (chain criterion); ``coprime_leads(c1, c2)``, whether the critical pairs
+    of two distinct elements need no reduction because their leads are
+    coprime (product criterion); and ``annihilator(c)``, a nonzero m with
+    m*c = 0 or None where only zero annihilates c, which rings with zero
+    divisors provide and polynomial rings over them reduce through (their
+    multiplier index "ann").
     """
 
     name = "domain"
@@ -61,6 +64,7 @@ class Domain:
     is_field = False
     single_reducibility_test = None
     coprime_leads = None
+    annihilator = None
 
     # ring operations
     def add(self, a, b):
@@ -111,14 +115,6 @@ class Domain:
             if m is not None:
                 yield m, self.sub(a, self.mul(m, c))
 
-    def annihilator(self, c):
-        """A nonzero m with m*c = 0, or None where only zero annihilates c.
-
-        Domains without zero divisors keep the default.  Polynomial rings use
-        this to reduce through multiples of a generator whose lead vanishes.
-        """
-        return None
-
     def canonical_associate(self, a):
         """The canonical display form of a's class of associates.
 
@@ -167,7 +163,12 @@ def reduce_step(dom: Domain, a, basis: Sequence) -> Optional[tuple]:
 
 
 def is_reducible(dom: Domain, a, basis: Sequence) -> bool:
-    return reduce_step(dom, a, basis) is not None
+    """Whether ``reduce_step`` would find a step, without taking it."""
+    return any(
+        dom.find_multiplier(a, c, index) is not None
+        for c in basis
+        for index in dom.multiplier_indices
+    )
 
 
 def normal_form(
@@ -192,10 +193,7 @@ def normal_form(
 
 def project_reduction_relation(dom: Domain, basis: Sequence, universe: Iterable) -> FiniteRelation:
     """The reduction relation modulo the basis, restricted to a finite universe."""
-    elements: list = []
-    for e in universe:
-        if e not in elements:
-            elements.append(e)
+    elements = list(dict.fromkeys(universe))
     carrier = set(elements)
     steps = set()
     for a in elements:
@@ -304,171 +302,117 @@ _UNCHECKED_AXIOMS = (
 EXHAUSTIVE_AXIOM_CARRIER = 60
 
 
+def _laws(dom: Domain, carrier: Optional[list]) -> list:
+    """The checked laws as (name, variables, test) rows, in report order.
+
+    ``test`` takes one element per variable and returns a falsy value where
+    the law holds.  Where it breaks, it returns True, and the bound
+    variables are the witness, or it returns the witness string itself.
+    Given the whole carrier, "order-acyclic" searches it for a cycle (a
+    zero-variable row, run once); otherwise it probes pairs for
+    antisymmetry.
+    """
+    add, mul, neg, eq, less = dom.add, dom.mul, dom.neg, dom.equal, dom.less
+    zero, one, is_zero, render = dom.zero, dom.one, dom.is_zero, dom.render
+    indices = dom.multiplier_indices
+
+    def decreases(a, c):
+        for index in indices:
+            m = dom.find_multiplier(a, c, index)
+            if m is not None and not less(dom.sub(a, mul(m, c)), a):
+                return f"a={render(a)} c={render(c)} i={index} m={render(m)}"
+        return None
+
+    def mntcr_lists(c1, c2):
+        if is_zero(c1) or is_zero(c2):
+            return []
+        return [dom.mntcrs(c1, i1, c2, i2) for i1 in indices for i2 in indices]
+
+    def not_common(c1, c2):
+        for zs in mntcr_lists(c1, c2):
+            for z in zs:
+                if not (is_reducible(dom, z, [c1]) and is_reducible(dom, z, [c2])):
+                    return f"z={render(z)} c1={render(c1)} c2={render(c2)}"
+        return None
+
+    def cycle():
+        start = find_cycle(carrier, less)
+        return start is not None and "cycle through " + render(start)
+
+    return [
+        ("add-commutative", "a b", lambda a, b: not eq(add(a, b), add(b, a))),
+        ("add-associative", "a b c", lambda a, b, c: not eq(add(add(a, b), c), add(a, add(b, c)))),
+        ("mul-commutative", "a b", lambda a, b: not eq(mul(a, b), mul(b, a))),
+        ("mul-associative", "a b c", lambda a, b, c: not eq(mul(mul(a, b), c), mul(a, mul(b, c)))),
+        (
+            "mul-distributes-over-add",
+            "a b c",
+            lambda a, b, c: not eq(mul(a, add(b, c)), add(mul(a, b), mul(a, c))),
+        ),
+        ("zero-additive-identity", "a", lambda a: not eq(add(a, zero), a)),
+        ("one-multiplicative-identity", "a", lambda a: not eq(mul(a, one), a)),
+        ("additive-inverse", "a", lambda a: not eq(add(a, neg(a)), zero)),
+        ("order-irreflexive", "a", lambda a: less(a, a)),
+        ("order-transitive", "a b c", lambda a, b, c: less(a, b) and less(b, c) and not less(a, c)),
+        ("order-acyclic", "", cycle)
+        if carrier is not None
+        else ("order-acyclic", "a b", lambda a, b: less(a, b) and less(b, a)),
+        ("zero-least", "a", lambda a: not is_zero(a) and not less(zero, a)),
+        ("reduction-decreases", "a c", decreases),
+        (
+            "mntcr-finite",
+            "c1 c2",
+            lambda c1, c2: any(not isinstance(zs, (list, tuple)) for zs in mntcr_lists(c1, c2)),
+        ),
+        ("mntcr-common-reducible", "c1 c2", not_common),
+    ]
+
+
 def check_axioms(dom: Domain, sample_budget: int = 2000, seed: int = 0) -> AxiomReport:
     """Behavioural check of the reduction-ring laws.
 
     Exhaustive when the carrier is enumerable and has at most
-    ``EXHAUSTIVE_AXIOM_CARRIER`` elements, sampled with ``sample_budget``
-    otherwise; the report's ``mode`` says which.  Failures carry a witness
-    string; they are report entries, not exceptions.
+    ``EXHAUSTIVE_AXIOM_CARRIER`` elements: every law then runs over all
+    tuples of the carrier, in product order, and reports the first that
+    breaks it.  Otherwise sampled: ``sample_budget`` random pairs and as
+    many triples are drawn from a pool of ``dom.sample_elements``, each list
+    shared by all laws of that arity, and the one-variable laws see zero,
+    one and the pool.  The report's ``mode`` says which.  Failures carry a
+    witness string; they are report entries, not exceptions.
     """
-    rng = random.Random(seed)
     size = dom.carrier_size()
     exhaustive = size is not None and size <= EXHAUSTIVE_AXIOM_CARRIER
     if exhaustive:
-        elems = list(dom.enumerate_carrier())
-        pairs = list(itertools.product(elems, repeat=2))
-        triples = itertools.product(elems, repeat=3)
+        carrier = dom.enumerate_carrier()
+
+        def tuples(arity: int) -> Iterable[tuple]:
+            return itertools.product(carrier, repeat=arity)
+
     else:
+        carrier = None
+        rng = random.Random(seed)
         pool = dom.sample_elements(rng, max(32, min(sample_budget, 256)))
-        elems = pool
-        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(sample_budget)]
-        triples = (
-            (rng.choice(pool), rng.choice(pool), rng.choice(pool))
-            for _ in range(sample_budget)
-        )
+        drawn = {1: [(a,) for a in [dom.zero, dom.one] + pool]}
+        for arity in (2, 3):
+            drawn[arity] = [
+                tuple(rng.choice(pool) for _ in range(arity)) for _ in range(sample_budget)
+            ]
+        tuples = drawn.__getitem__
 
-    # the unary laws always see zero and one, which a random pool may miss
-    unary = elems if exhaustive else [dom.zero, dom.one] + elems
     checks: list = []
-
-    def record(name: str, witness: Optional[str]) -> None:
-        if witness is None:
+    for name, variables, test in _laws(dom, carrier):
+        names = variables.split()
+        # the first tuple that breaks the law, scanned at C speed; tests are
+        # pure, so its verdict is recomputed rather than carried along
+        verdicts = itertools.starmap(test, tuples(len(names)))
+        values = next(itertools.compress(tuples(len(names)), verdicts), None)
+        if values is None:
             checks.append(AxiomCheck(name, "PASS"))
-        else:
-            checks.append(AxiomCheck(name, "FAIL", witness))
-
-    add, mul, neg = dom.add, dom.mul, dom.neg
-    eq = dom.equal
-
-    w_ac = w_aa = w_mc = w_ma = w_d = None
-    for a, b, c in triples:
-        if w_ac is None and not eq(add(a, b), add(b, a)):
-            w_ac = f"a={dom.render(a)} b={dom.render(b)}"
-        if w_aa is None and not eq(add(add(a, b), c), add(a, add(b, c))):
-            w_aa = f"a={dom.render(a)} b={dom.render(b)} c={dom.render(c)}"
-        if w_mc is None and not eq(mul(a, b), mul(b, a)):
-            w_mc = f"a={dom.render(a)} b={dom.render(b)}"
-        if w_ma is None and not eq(mul(mul(a, b), c), mul(a, mul(b, c))):
-            w_ma = f"a={dom.render(a)} b={dom.render(b)} c={dom.render(c)}"
-        if w_d is None and not eq(mul(a, add(b, c)), add(mul(a, b), mul(a, c))):
-            w_d = f"a={dom.render(a)} b={dom.render(b)} c={dom.render(c)}"
-        if not (w_ac is None or w_aa is None or w_mc is None or w_ma is None or w_d is None):
-            break
-    record("add-commutative", w_ac)
-    record("add-associative", w_aa)
-    record("mul-commutative", w_mc)
-    record("mul-associative", w_ma)
-    record("mul-distributes-over-add", w_d)
-
-    w_zero = w_one = w_inv = None
-    for a in unary:
-        if w_zero is None and not eq(add(a, dom.zero), a):
-            w_zero = f"a={dom.render(a)}"
-        if w_one is None and not eq(mul(a, dom.one), a):
-            w_one = f"a={dom.render(a)}"
-        if w_inv is None and not eq(add(a, neg(a)), dom.zero):
-            w_inv = f"a={dom.render(a)}"
-    record("zero-additive-identity", w_zero)
-    record("one-multiplicative-identity", w_one)
-    record("additive-inverse", w_inv)
-
-    w_irr = None
-    for a in unary:
-        if dom.less(a, a):
-            w_irr = f"a={dom.render(a)}"
-            break
-    record("order-irreflexive", w_irr)
-
-    w_tr = None
-    trans_samples = pairs if exhaustive else [
-        (rng.choice(elems), rng.choice(elems)) for _ in range(sample_budget)
-    ]
-    for a, b in trans_samples:
-        if w_tr is not None:
-            break
-        if dom.less(a, b):
-            for c in elems if exhaustive else rng.sample(elems, min(16, len(elems))):
-                if dom.less(b, c) and not dom.less(a, c):
-                    w_tr = f"a={dom.render(a)} b={dom.render(b)} c={dom.render(c)}"
-                    break
-    record("order-transitive", w_tr)
-
-    if exhaustive:
-        w_cyc = None
-        state: dict = {}
-        below = {e: [f for f in elems if dom.less(f, e)] for e in elems}
-
-        def visit(x) -> bool:
-            state[x] = "open"
-            for y in below[x]:
-                mark = state.get(y)
-                if mark == "open" or (mark is None and visit(y)):
-                    return True
-            state[x] = "done"
-            return False
-
-        for e in elems:
-            if e not in state and visit(e):
-                w_cyc = "cycle through " + dom.render(e)
-                break
-        record("order-acyclic", w_cyc)
-    else:
-        w_anti = None
-        for a, b in trans_samples:
-            if dom.less(a, b) and dom.less(b, a):
-                w_anti = f"a={dom.render(a)} b={dom.render(b)}"
-                break
-        record("order-acyclic", w_anti)
-
-    w_least = None
-    for a in unary:
-        if not dom.is_zero(a) and not dom.less(dom.zero, a):
-            w_least = f"a={dom.render(a)}"
-            break
-    record("zero-least", w_least)
-
-    w_red = None
-    for a, c in pairs if exhaustive else trans_samples:
-        if w_red is not None:
-            break
-        for index in dom.multiplier_indices:
-            m = dom.find_multiplier(a, c, index)
-            if m is None:
-                continue
-            if not dom.less(dom.sub(a, dom.mul(m, c)), a):
-                w_red = (
-                    f"a={dom.render(a)} c={dom.render(c)} i={index} m={dom.render(m)}"
-                )
-                break
-    record("reduction-decreases", w_red)
-
-    w_fin = w_common = None
-    nonzero = [e for e in elems if not dom.is_zero(e)]
-    mntcr_pairs = (
-        list(itertools.product(nonzero, repeat=2))
-        if exhaustive
-        else [(rng.choice(nonzero), rng.choice(nonzero)) for _ in range(min(sample_budget, 200))]
-    )
-    for c1, c2 in mntcr_pairs:
-        if w_fin is not None and w_common is not None:
-            break
-        for i1 in dom.multiplier_indices:
-            for i2 in dom.multiplier_indices:
-                zs = dom.mntcrs(c1, i1, c2, i2)
-                if w_fin is None and not isinstance(zs, (list, tuple)):
-                    w_fin = f"c1={dom.render(c1)} c2={dom.render(c2)}"
-                for z in zs:
-                    if w_common is None and not (
-                        is_reducible(dom, z, [c1]) and is_reducible(dom, z, [c2])
-                    ):
-                        w_common = (
-                            f"z={dom.render(z)} c1={dom.render(c1)} c2={dom.render(c2)}"
-                        )
-    record("mntcr-finite", w_fin)
-    record("mntcr-common-reducible", w_common)
-
+            continue
+        verdict = test(*values)
+        if verdict is True:
+            verdict = " ".join(f"{v}={dom.render(x)}" for v, x in zip(names, values))
+        checks.append(AxiomCheck(name, "FAIL", verdict))
     for name, why in _UNCHECKED_AXIOMS:
         checks.append(AxiomCheck(name, "SKIPPED", why))
-
     return AxiomReport(dom.name, checks, "exhaustive" if exhaustive else "sampled")

@@ -30,7 +30,7 @@ import re
 from operator import add as _add_exps, le as _le, sub as _sub_exps
 from typing import Any, Iterable, NamedTuple, Optional
 
-from .core import Domain
+from .core import Domain, is_reducible
 
 Pp = tuple
 
@@ -67,10 +67,6 @@ def pp_quotient(t: Pp, s: Pp) -> Pp:
     return tuple(y - x for x, y in zip(s, t))
 
 
-def pp_degree(s: Pp) -> int:
-    return sum(s)
-
-
 def _deglex_rank(pp: Pp) -> tuple:
     return (sum(pp), pp)
 
@@ -79,10 +75,21 @@ def _degrevlex_rank(pp: Pp) -> tuple:
     return (-sum(pp), pp[::-1])
 
 
-class TermOrder:
-    """A total, multiplicative, well-founded order on power products."""
+_RANKS = {"lex": tuple, "deglex": _deglex_rank, "degrevlex": _degrevlex_rank}
 
-    KINDS = ("lex", "deglex", "degrevlex")
+
+class TermOrder:
+    """A total, multiplicative, well-founded order on power products.
+
+    ``rank`` maps a power product to a tuple, and distinct power products
+    compare as their ranks do, reversed when ``descending`` is set: s is
+    above t iff (rank(s) > rank(t)) != descending.  Degrevlex takes the
+    reversed exponents with a negated degree as its rank, cheaper than
+    negating every exponent.  ``rank`` does not validate its argument;
+    ``compare`` does.
+    """
+
+    KINDS = tuple(_RANKS)
 
     def __init__(self, kind: str, nvars: int) -> None:
         if kind not in self.KINDS:
@@ -91,35 +98,18 @@ class TermOrder:
             raise ValueError("need at least one variable")
         self.kind = kind
         self.nvars = nvars
-        # an unvalidated rank for internal comparisons: for distinct power
-        # products s and t, s is above t iff rank(s) > rank(t), or
-        # rank(s) < rank(t) when _rank_reversed; degrevlex gets the cheaper
-        # reversed rank instead of negating every exponent
-        if kind == "lex":
-            self._rank, self._rank_reversed = tuple, False
-        elif kind == "deglex":
-            self._rank, self._rank_reversed = _deglex_rank, False
-        else:
-            self._rank, self._rank_reversed = _degrevlex_rank, True
-
-    def key(self, pp: Pp):
-        """Sort key: key(s) < key(t) iff s is below t."""
-        if len(pp) != self.nvars:
-            raise ValueError(f"expected {self.nvars} exponents, got {pp}")
-        if self.kind == "lex":
-            return pp
-        if self.kind == "deglex":
-            return (sum(pp), pp)
-        return (sum(pp), tuple(-e for e in reversed(pp)))
+        self.rank = _RANKS[kind]
+        self.descending = kind == "degrevlex"
 
     def compare(self, s: Pp, t: Pp) -> int:
         """-1, 0 or 1 as s is below, equal to, or above t."""
-        ks, kt = self.key(s), self.key(t)
-        if ks < kt:
-            return -1
-        if ks > kt:
-            return 1
-        return 0
+        for pp in (s, t):
+            if len(pp) != self.nvars:
+                raise ValueError(f"expected {self.nvars} exponents, got {pp}")
+        rs, rt = self.rank(tuple(s)), self.rank(tuple(t))
+        if rs == rt:
+            return 0
+        return 1 if (rs > rt) != self.descending else -1
 
     def __eq__(self, other) -> bool:
         return (
@@ -176,34 +166,17 @@ class Polynomial:
                 return mono.coeff
         return self.ring.coeff.zero
 
-    def support(self) -> list:
-        return [mono.pp for mono in self.terms]
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(pp_degree(mono.pp) for mono in self.terms)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        ring = self.ring
-        ring._require_same(other)
-        return Polynomial(ring, ring._merge(self.terms, other.terms, False))
+        return self.ring.add(self, other)
 
     def __neg__(self) -> "Polynomial":
-        coeff = self.ring.coeff
-        return Polynomial(
-            self.ring, tuple(Monomial(coeff.neg(m.coeff), m.pp) for m in self.terms)
-        )
+        return self.ring.neg(self)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        ring = self.ring
-        ring._require_same(other)
-        return Polynomial(ring, ring._merge(self.terms, other.terms, True))
+        return self.ring.sub(self, other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        ring = self.ring
-        ring._require_same(other)
-        return Polynomial(ring, ring._times(self.terms, other.terms))
+        return self.ring.mul(self, other)
 
     def __eq__(self, other) -> bool:
         return (
@@ -225,12 +198,7 @@ class Polynomial:
 def mono_mul(mono: Monomial, p: Polynomial) -> Polynomial:
     """Multiply a polynomial by a single monomial."""
     ring = p.ring
-    pp = tuple(mono.pp)
-    if len(pp) != ring.nvars:
-        raise ValueError(f"expected {ring.nvars} exponents, got {pp}")
-    if any(e < 0 for e in pp):
-        raise ValueError(f"negative exponent in {pp}")
-    return Polynomial(ring, ring._scale(mono.coeff, pp, p.terms))
+    return Polynomial(ring, ring._scale(mono.coeff, ring._valid_pp(mono.pp), p.terms))
 
 
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[\^*/+\-])|(\S)")
@@ -251,7 +219,9 @@ class PolyRing(Domain):
     the leading coefficient of g, so the rewrite acts through the tail of g
     instead; those multipliers form the separate index "ann", which works
     through the nonzero scalar multiples of g with successively annihilated
-    leads.  Without zero divisors that index is empty.
+    leads.  The ring lists that index only where the coefficient domain
+    provides the ``annihilator`` hook (Z/nZ); without zero divisors it would
+    always be empty.
     """
 
     def __init__(self, coeff: Domain, names: Iterable[str], order: TermOrder) -> None:
@@ -266,7 +236,9 @@ class PolyRing(Domain):
         self.order = order
         self.nvars = len(self.names)
         self.name = f"{coeff.name}[{','.join(self.names)}]/{order.kind}"
-        self.multiplier_indices = tuple(coeff.multiplier_indices) + ("ann",)
+        self.multiplier_indices = tuple(coeff.multiplier_indices)
+        if callable(coeff.annihilator):
+            self.multiplier_indices += ("ann",)
         if not coeff.is_field:
             # the chain and product criteria hold only where reducibility is
             # pure power-product divisibility, i.e. over field coefficients
@@ -279,11 +251,7 @@ class PolyRing(Domain):
         """Normalize (coefficient, power product) pairs into a polynomial."""
         acc: dict = {}
         for c, pp in items:
-            pp = tuple(pp)
-            if len(pp) != self.nvars:
-                raise ValueError(f"expected {self.nvars} exponents, got {pp}")
-            if any(e < 0 for e in pp):
-                raise ValueError(f"negative exponent in {pp}")
+            pp = self._valid_pp(pp)
             if pp in acc:
                 acc[pp] = self.coeff.add(acc[pp], c)
             else:
@@ -293,7 +261,8 @@ class PolyRing(Domain):
             for pp, c in acc.items()
             if not self.coeff.is_zero(c)
         ]
-        terms.sort(key=lambda m: self.order.key(m.pp), reverse=True)
+        rank = self.order.rank
+        terms.sort(key=lambda m: rank(m.pp), reverse=not self.order.descending)
         return Polynomial(self, tuple(terms))
 
     def monomial(self, c, pp: Pp) -> Polynomial:
@@ -308,9 +277,19 @@ class PolyRing(Domain):
         pp = tuple(1 if n == name else 0 for n in self.names)
         return self.monomial(self.coeff.one, pp)
 
-    def _require_same(self, p: Polynomial) -> None:
-        if p.ring is not self and p.ring != self:
-            raise ValueError("polynomials belong to different rings")
+    def _valid_pp(self, pp) -> Pp:
+        """pp as a tuple of nvars nonnegative exponents; ValueError otherwise."""
+        pp = tuple(pp)
+        if len(pp) != self.nvars:
+            raise ValueError(f"expected {self.nvars} exponents, got {pp}")
+        if any(e < 0 for e in pp):
+            raise ValueError(f"negative exponent in {pp}")
+        return pp
+
+    def _require_same(self, *ps: Polynomial) -> None:
+        for p in ps:
+            if p.ring is not self and p.ring != self:
+                raise ValueError("polynomials belong to different rings")
 
     def _term(self, c, pp: Pp) -> Polynomial:
         """c*x^pp from a valid power product; zero when c is."""
@@ -330,7 +309,7 @@ class PolyRing(Domain):
                 return t
             return tuple(_new_tuple(Monomial, (neg(m.coeff), m.pp)) for m in t)
         add, is_zero = coeff.add, coeff.is_zero
-        rank, reversed_rank = self.order._rank, self.order._rank_reversed
+        rank, descending = self.order.rank, self.order.descending
         out = []
         append = out.append
         ns, nt = len(s), len(t)
@@ -348,7 +327,7 @@ class PolyRing(Domain):
                     break
                 ms, mt = s[i], t[j]
                 rs, rt = rank(ms.pp), rank(mt.pp)
-            elif (rs < rt) == reversed_rank:
+            elif (rs < rt) == descending:
                 # the head of s is above the head of t
                 append(ms)
                 i += 1
@@ -393,22 +372,19 @@ class PolyRing(Domain):
 
     # Domain interface
     def add(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        self._require_same(a)
-        self._require_same(b)
+        self._require_same(a, b)
         return Polynomial(self, self._merge(a.terms, b.terms, False))
 
     def neg(self, a: Polynomial) -> Polynomial:
         self._require_same(a)
-        return -a
+        return Polynomial(self, self._merge((), a.terms, True))
 
     def sub(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        self._require_same(a)
-        self._require_same(b)
+        self._require_same(a, b)
         return Polynomial(self, self._merge(a.terms, b.terms, True))
 
     def mul(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        self._require_same(a)
-        self._require_same(b)
+        self._require_same(a, b)
         return Polynomial(self, self._times(a.terms, b.terms))
 
     def equal(self, a: Polynomial, b: Polynomial) -> bool:
@@ -418,14 +394,12 @@ class PolyRing(Domain):
         return a.is_zero
 
     def less(self, p: Polynomial, q: Polynomial) -> bool:
+        rank, descending = self.order.rank, self.order.descending
         for mp, mq in zip(p.terms, q.terms):
-            side = self.order.compare(mp.pp, mq.pp)
-            if side != 0:
-                return side < 0
+            if mp.pp != mq.pp:
+                return (rank(mp.pp) < rank(mq.pp)) != descending
             if not self.coeff.equal(mp.coeff, mq.coeff):
-                if self.coeff.less(mp.coeff, mq.coeff):
-                    return True
-                return False
+                return self.coeff.less(mp.coeff, mq.coeff)
         return len(p.terms) < len(q.terms)
 
     def _cached_ann_family(self, g: Polynomial) -> tuple:
@@ -508,10 +482,7 @@ class PolyRing(Domain):
         Over ring coefficients the side pairs of the chain criterion see
         different coefficient parts of z, so no single test is sound there.
         """
-        return any(
-            self.find_multiplier(z, g, index) is not None
-            for index in self.multiplier_indices
-        )
+        return is_reducible(self, z, [g])
 
     def coprime_leads(self, g1: Polynomial, g2: Polynomial) -> bool:
         """Whether the leading power products share no variable.  Field coefficients only.
@@ -582,8 +553,6 @@ class PolyRing(Domain):
                     expect_term = True
                 elif value == "-":
                     sign = -sign
-                else:
-                    pass
                 pos += 1
                 continue
             coeff_val, pp, pos = self._parse_term(tokens, pos)

@@ -3,12 +3,18 @@
 Everything here works by exhaustive search over an explicitly enumerated
 carrier, so every question is decidable.  Domain code projects its (possibly
 infinite) reduction relation onto a finite universe before calling in.
+
+Each relation indexes its steps once; one closure search over that index
+answers reachability, equivalence and connectibility below an element, and
+``find_cycle`` is the one cycle search, shared with ``core.check_axioms``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from functools import cached_property
+from itertools import combinations
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -30,78 +36,75 @@ class FiniteRelation:
     def make(elements: Iterable, steps: Iterable) -> "FiniteRelation":
         return FiniteRelation(tuple(elements), frozenset(tuple(s) for s in steps))
 
+    @cached_property
+    def _adjacency(self) -> tuple:
+        """(successors, predecessors): element -> neighbours, successors in carrier order."""
+        succ: dict = {e: [] for e in self.elements}
+        pred: dict = {e: [] for e in self.elements}
+        position = {e: k for k, e in enumerate(self.elements)}
+        for src, dst in sorted(self.steps, key=lambda step: position[step[1]]):
+            succ[src].append(dst)
+            pred[dst].append(src)
+        return succ, pred
+
     def successors(self, a) -> list:
         self._require(a)
-        idx = {e: k for k, e in enumerate(self.elements)}
-        return sorted((dst for src, dst in self.steps if src == a), key=idx.__getitem__)
+        return list(self._adjacency[0][a])
 
     def _require(self, a) -> None:
         if a not in self.elements:
             raise ValueError(f"{a!r} is not a carrier element")
 
 
-def reachable(rel: FiniteRelation, a) -> set:
-    """All b with a ->* b, including a itself."""
-    rel._require(a)
+def _closure(rel: FiniteRelation, a, undirected: bool = False, allowed=None) -> set:
+    """Everything a reaches by steps, including a itself.
+
+    With ``undirected`` steps count in both directions; with ``allowed`` the
+    search passes only through elements of that set.
+    """
+    succ, pred = rel._adjacency
     out = {a}
     stack = [a]
     while stack:
         x = stack.pop()
-        for src, dst in rel.steps:
-            if src == x and dst not in out:
-                out.add(dst)
-                stack.append(dst)
+        for y in succ[x] + pred[x] if undirected else succ[x]:
+            if y not in out and (allowed is None or y in allowed):
+                out.add(y)
+                stack.append(y)
     return out
+
+
+def reachable(rel: FiniteRelation, a) -> set:
+    """All b with a ->* b, including a itself."""
+    rel._require(a)
+    return _closure(rel, a)
 
 
 def equivalent(rel: FiniteRelation, a, b) -> bool:
     """Whether a <->* b, i.e. a and b share an undirected component."""
     rel._require(a)
     rel._require(b)
-    return b in _component(rel, a)
-
-
-def _component(rel: FiniteRelation, a) -> set:
-    out = {a}
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        for src, dst in rel.steps:
-            if src == x and dst not in out:
-                out.add(dst)
-                stack.append(dst)
-            if dst == x and src not in out:
-                out.add(src)
-                stack.append(src)
-    return out
+    return b in _closure(rel, a, undirected=True)
 
 
 def is_church_rosser(rel: FiniteRelation) -> bool:
     """Whether every equivalent pair has a common ->* successor."""
-    reach = {e: reachable(rel, e) for e in rel.elements}
-    seen: set = set()
-    for e in rel.elements:
-        if e in seen:
-            continue
-        comp = sorted(_component(rel, e), key=rel.elements.index)
-        seen.update(comp)
-        for i, a in enumerate(comp):
-            for b in comp[i + 1 :]:
-                if not (reach[a] & reach[b]):
-                    return False
-    return True
+    reach = {e: _closure(rel, e) for e in rel.elements}
+    return all(
+        not reach[a].isdisjoint(reach[b])
+        for a in rel.elements
+        for b in _closure(rel, a, undirected=True)
+    )
 
 
 def is_locally_confluent(rel: FiniteRelation) -> bool:
     """Whether every one-step divergence b <- a -> c rejoins under ->*."""
-    reach = {e: reachable(rel, e) for e in rel.elements}
-    for a in rel.elements:
-        succ = rel.successors(a)
-        for i, b in enumerate(succ):
-            for c in succ[i + 1 :]:
-                if not (reach[b] & reach[c]):
-                    return False
-    return True
+    reach = {e: _closure(rel, e) for e in rel.elements}
+    return all(
+        not reach[b].isdisjoint(reach[c])
+        for a in rel.elements
+        for b, c in combinations(rel.successors(a), 2)
+    )
 
 
 def connectible_below(
@@ -120,56 +123,47 @@ def connectible_below(
     rel._require(z)
     if not less(a, z) or not less(b, z):
         return False
-    if a == b:
-        return True
     allowed = {e for e in rel.elements if less(e, z)}
-    seen = {a}
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        for src, dst in rel.steps:
-            for nxt in ((dst,) if src == x else ()) + ((src,) if dst == x else ()):
-                if nxt == b:
-                    return True
-                if nxt in allowed and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return False
+    return b in _closure(rel, a, undirected=True, allowed=allowed)
 
 
 def generalized_newman_holds(rel: FiniteRelation, less: Callable[[Any, Any], bool]) -> bool:
     """Whether every local divergence b <- a -> c is connectible below a.
 
-    The comparator must be acyclic on the carrier (well-founded, since the
-    carrier is finite); a cycle raises ValueError.
+    The comparator must be irreflexive and acyclic on the carrier
+    (well-founded, since the carrier is finite); otherwise ValueError.
     """
-    _require_acyclic(rel.elements, less)
-    for a in rel.elements:
-        succ = rel.successors(a)
-        for i, b in enumerate(succ):
-            for c in succ[i + 1 :]:
-                if not connectible_below(rel, less, b, c, a):
-                    return False
-    return True
-
-
-def _require_acyclic(elements: tuple, less: Callable[[Any, Any], bool]) -> None:
-    below = {e: [f for f in elements if f != e and less(f, e)] for e in elements}
-    for e in elements:
+    for e in rel.elements:
         if less(e, e):
             raise ValueError(f"order is reflexive at {e!r}")
+    if find_cycle(rel.elements, less) is not None:
+        raise ValueError("order contains a cycle on the carrier")
+    return all(
+        connectible_below(rel, less, b, c, a)
+        for a in rel.elements
+        for b, c in combinations(rel.successors(a), 2)
+    )
+
+
+def find_cycle(elements: Sequence, less: Callable[[Any, Any], bool]) -> Optional[Any]:
+    """The first element whose descent under ``less`` runs into a cycle, or None.
+
+    Depth-first from each element in turn, stepping from x to every y with
+    less(y, x) in carrier order; an element below itself is a cycle of
+    length one.  None means ``less`` is acyclic, hence well-founded, on the
+    elements.
+    """
     state: dict = {}
 
-    def visit(x) -> None:
+    def visit(x) -> bool:
         state[x] = "open"
-        for y in below[x]:
-            mark = state.get(y)
-            if mark == "open":
-                raise ValueError("order contains a cycle on the carrier")
-            if mark is None:
-                visit(y)
+        for y in elements:
+            if less(y, x) and (state.get(y) == "open" or (y not in state and visit(y))):
+                return True
         state[x] = "done"
+        return False
 
     for e in elements:
-        if e not in state:
-            visit(e)
+        if e not in state and visit(e):
+            return e
+    return None

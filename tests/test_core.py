@@ -263,3 +263,59 @@ def test_axiom_report_serialization():
     doc = report.to_dict()
     assert doc["ok"] is True
     assert any(c["status"] == "SKIPPED" for c in doc["checks"])
+
+
+def _mutant(name, **methods):
+    return type(name, (IntegerQuotientDomain,), methods)
+
+
+# One Z/nZ mutant per checked law: each overrides one method so that the
+# named law, and possibly others, fails.
+_MUL_SHIFTED = _mutant("MulShifted", mul=lambda s, a, b: (a * b + 1) % s.n)
+LAW_MUTANTS = {
+    "add-commutative": _mutant("AddLeans", add=lambda s, a, b: (a + 2 * b) % s.n),
+    "add-associative": _mutant("AddSquares", add=lambda s, a, b: (a * a + b * b) % s.n),
+    "mul-commutative": _mutant("MulLeans", mul=lambda s, a, b: (a * b + a) % s.n),
+    "mul-associative": _MUL_SHIFTED,
+    "mul-distributes-over-add": _MUL_SHIFTED,
+    "zero-additive-identity": _mutant("AddShifted", add=lambda s, a, b: (a + b + 1) % s.n),
+    "one-multiplicative-identity": _mutant("MulZero", mul=lambda s, a, b: 0),
+    "additive-inverse": _mutant("NegIdentity", neg=lambda s, a: a),
+    "order-irreflexive": _mutant("LessAtZero", less=lambda s, a, b: (a == b == 0) or a < b),
+    "order-transitive": _mutant(
+        "LessCircular", less=lambda s, a, b: 0 < (b - a) % s.n < s.n // 2
+    ),
+    "order-acyclic": _mutant("LessDistinct", less=lambda s, a, b: a != b),
+    "zero-least": _mutant("LessReversed", less=lambda s, a, b: a > b),
+    "reduction-decreases": _mutant(
+        "WitnessZero", find_multiplier=lambda s, a, c, index: 0 if c % s.n else None
+    ),
+    "mntcr-finite": _mutant(
+        "MntcrSet",
+        mntcrs=lambda s, c1, i1, c2, i2: set(IntegerQuotientDomain.mntcrs(s, c1, i1, c2, i2)),
+    ),
+    "mntcr-common-reducible": _mutant("MntcrOne", mntcrs=lambda s, c1, i1, c2, i2: [1]),
+}
+
+
+@pytest.mark.parametrize("mode, n", [("exhaustive", 12), ("sampled", 1000)])
+@pytest.mark.parametrize("law", sorted(LAW_MUTANTS))
+def test_check_axioms_detects_each_law(law, mode, n):
+    report = check_axioms(LAW_MUTANTS[law](n))
+    assert report.mode == mode
+    assert law in {c.name for c in report.failures()}
+
+
+def test_check_axioms_exhaustive_witnesses_are_pinned():
+    class BrokenOrder(IntegerQuotientDomain):
+        def less(self, a, b):
+            return True if (a, b) == (0, 0) else super().less(a, b)
+
+    class BrokenWitness(IntegerQuotientDomain):
+        def find_multiplier(self, a, c, index):
+            return 0 if c % self.n else None
+
+    failures = {c.name: c.witness for c in check_axioms(BrokenOrder(24)).failures()}
+    assert failures == {"order-irreflexive": "a=0", "order-acyclic": "cycle through 0"}
+    failures = {c.name: c.witness for c in check_axioms(BrokenWitness(24)).failures()}
+    assert failures == {"reduction-decreases": "a=0 c=1 i=0 m=0"}

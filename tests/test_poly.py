@@ -201,8 +201,8 @@ class TestArithmetic:
                 assert len(set(pps)) == len(pps)
                 for m in p.terms:
                     assert not coeff.is_zero(m.coeff)
-                keys = [R.order.key(pp) for pp in pps]
-                assert keys == sorted(keys, reverse=True)
+                for s, t in zip(pps, pps[1:]):
+                    assert R.order.compare(s, t) == 1
 
 
 def random_poly(rng, R, nterms):
@@ -440,10 +440,8 @@ class TestPolyDomain:
     def test_annihilator_index_inert_without_zero_divisors(self):
         for coeff in (Q, Z):
             R = make_poly_domain(coeff, ("x", "y"), "lex")
-            p, g = R.parse("x + 1"), R.parse("2*x")
-            assert R._ann_family(g) == []
-            assert R.find_multiplier(p, g, "ann") is None
-            assert R.mntcrs(g, "ann", g, 0) == []
+            assert "ann" not in R.multiplier_indices
+        assert "ann" in make_poly_domain(Z24, ("x", "y"), "lex").multiplier_indices
 
     def test_mntcr_over_field_is_monic_lcm(self):
         R = make_poly_domain(Q, ("x", "y"), "lex")

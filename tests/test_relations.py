@@ -6,6 +6,7 @@ from redring.relations import (
     FiniteRelation,
     connectible_below,
     equivalent,
+    find_cycle,
     generalized_newman_holds,
     is_church_rosser,
     is_locally_confluent,
@@ -205,3 +206,44 @@ def test_generalized_newman_implies_church_rosser():
             holds += 1
             assert is_church_rosser(r)
     assert holds > 0  # the property is not vacuous for this seed
+
+
+def test_searches_match_brute_force_on_random_relations():
+    rng = random.Random(29)
+    for _ in range(80):
+        base = random_relation(rng, max_elems=7)
+        # a shuffled carrier, so that carrier order differs from value order
+        r = rel(rng.sample(base.elements, len(base.elements)), base.steps)
+        es = r.elements
+        symmetric = set(r.steps) | {(d, s) for s, d in r.steps}
+        components = closure_oracle(es, symmetric)
+        for a in es:
+            want = [e for e in es if (a, e) in r.steps]
+            assert r.successors(a) == want
+            for b in es:
+                assert equivalent(r, a, b) == (b in components[a])
+        ranks, less = make_rank_order(es, rng)
+        for z in es:
+            below = [e for e in es if less(e, z)]
+            kept = {(s, d) for s, d in symmetric if s in below and d in below}
+            inside = closure_oracle(below, kept)
+            for a in es:
+                for b in es:
+                    want = a in inside and b in inside[a]
+                    assert connectible_below(r, less, a, b, z) == want, (r, ranks, a, b, z)
+
+
+def test_find_cycle_matches_brute_force():
+    rng = random.Random(31)
+    found = 0
+    for _ in range(100):
+        r = random_relation(rng)
+        reach = closure_oracle(r.elements, r.steps)
+        # a is below b when b steps to a, so cycles of less are cycles of steps
+        start = find_cycle(r.elements, lambda a, b: (b, a) in r.steps)
+        on_cycle = {s for s, d in r.steps if s in reach[d]}
+        assert (start is None) == (not on_cycle)
+        if start is not None:
+            found += 1
+            assert on_cycle & reach[start]
+    assert 0 < found < 100
