@@ -14,6 +14,7 @@ from .buchberger import (
     chain_criterion_skip,
     critical_pair,
     gb,
+    ideal_congruence_holds,
     is_groebner_basis,
     member_ideal,
     verify_cofactors,
@@ -25,7 +26,6 @@ from .core import (
     NonTerminationError,
     ReductionCertificate,
     check_axioms,
-    ideal_congruence_holds,
     is_reducible,
     normal_form,
     project_reduction_relation,

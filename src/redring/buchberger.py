@@ -17,9 +17,10 @@ join: self-pairs at one multiplier index and other equal sides (sound in
 every domain); distinct elements with coprime leads (the product
 criterion, through the optional ``coprime_leads`` hook that only
 field-coefficient polynomials provide); and mntcrs the chain criterion
-covers, where a pair is done only once all its mntcrs joined or were
-skipped, so every skip rests on earlier pairs alone.  Skipped mntcrs are
-not re-checked for the mntcr contract; ``check_axioms`` tests it.
+covers.  The chain criterion rests on earlier pairs alone: in j-major
+order both side pairs {k, i} and {k, j} of the pair (i, j) have been
+walked exactly when k < i.  Skipped mntcrs are not re-checked for the
+mntcr contract; ``check_axioms`` tests it.
 """
 
 from __future__ import annotations
@@ -95,33 +96,29 @@ def index_pairs(basis: list):
         j += 1
 
 
-def critical_pairs(dom: Domain, basis: list, done: set, i: int, j: int, chain: bool):
+def critical_pairs(dom: Domain, basis: list, i: int, j: int, chain: bool):
     """Yield (z, i1, i2, skip) for each mntcr z of basis elements i and j.
 
     Index pairs (i1, i2) come in declared order; ``skip`` is set where
-    ``chain`` is set and the chain criterion skips z against ``basis`` and
-    ``done`` as they stand when the item is requested.
+    ``chain`` is set and the chain criterion skips z.
     """
     g1, g2 = basis[i], basis[j]
     indices = dom.multiplier_indices
     walk = [(z, i1, i2) for i1 in indices for i2 in indices for z in dom.mntcrs(g1, i1, g2, i2)]
     for z, i1, i2 in walk:
-        yield z, i1, i2, chain and chain_criterion_skip(dom, basis, done, i, j, z)
+        yield z, i1, i2, chain and chain_criterion_skip(dom, basis, i, z)
 
 
-def chain_criterion_skip(dom: Domain, basis: Sequence, done: set, i: int, j: int, z) -> bool:
-    """Whether a third basis element already subsumes the pair (i, j) at z.
+def chain_criterion_skip(dom: Domain, basis: Sequence, i: int, z) -> bool:
+    """Whether an earlier basis element already subsumes the pair (i, j) at z.
 
-    True iff some k distinct from i and j reduces z on its own and both side
-    pairs of k with i and j are in ``done``.  Domains without a
-    single-element reducibility test never skip.
+    True iff some k < i reduces z on its own: in the j-major walk of
+    ``index_pairs`` those are exactly the k whose side pairs {k, i} and
+    {k, j} with the current pair (i, j), i <= j, are both walked.  Domains
+    without a single-element reducibility test never skip.
     """
     test = dom.single_reducibility_test
-    return callable(test) and any(
-        (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done and test(z, g)
-        for k, g in enumerate(basis)
-        if k != i and k != j
-    )
+    return callable(test) and any(test(z, g) for g in basis[:i])
 
 
 def _add_into(dom: Domain, acc: dict, pos: int, value) -> None:
@@ -153,16 +150,14 @@ def gb(
     basis_rows: list = [{orig: dom.one} for orig, _ in kept]
     rows_out: list = []
     trace = GBTrace()
-    use_chain = chain_criterion and callable(dom.single_reducibility_test)
     for pos, g in enumerate(basis):
         trace.emit(f"init {pos} {dom.render(g)}")
-    done: set = set()
     for i, j in index_pairs(basis):
         if trace.pairs_processed >= max_pairs:
             raise NonTerminationError(f"pair walk did not finish within {max_pairs} pairs")
         trace.pairs_processed += 1
         trace.emit(f"pair {i} {j}")
-        for z, i1, i2, skip in critical_pairs(dom, basis, done, i, j, use_chain):
+        for z, i1, i2, skip in critical_pairs(dom, basis, i, j, chain_criterion):
             trace.emit(f"mntcr {dom.render(z)} indices {i1} {i2}")
             if skip:
                 trace.chain_skips += 1
@@ -172,7 +167,7 @@ def gb(
             trace.critical_pairs_reduced += 1
             trace.emit(f"critical {dom.render(a1)} | {dom.render(a2)}")
             nf1, certs1 = normal_form(dom, a1, basis, max_steps)
-            same = dom.equal(a1, a2)  # normal_form is deterministic: reuse side 1
+            same = a1 == a2  # normal_form is deterministic: reuse side 1
             nf2, certs2 = (nf1, certs1) if same else normal_form(dom, a2, basis, max_steps)
             steps = f"steps {len(certs1)} {len(certs2)}"
             trace.emit(f"reduced {dom.render(nf1)} | {dom.render(nf2)} {steps}")
@@ -200,7 +195,6 @@ def gb(
             rows_out.append(CofactorRow(h, row))
             trace.additions += 1
             trace.emit(f"add {new} {dom.render(h)}")
-        done.add((i, j))
         trace.emit(f"done {i} {j}")
     for g in basis:
         trace.emit(f"final {dom.render(g)}")
@@ -212,21 +206,19 @@ def is_groebner_basis(dom: Domain, basis: Sequence, *, max_steps: int = DEFAULT_
     G = list(basis)
     if any(dom.is_zero(g) for g in G):
         raise ValueError("basis must be zero-free")
-    done: set = set()
-    chain, coprime = callable(dom.single_reducibility_test), dom.coprime_leads
+    coprime = dom.coprime_leads
     for i, j in index_pairs(G):
         if i == j or not callable(coprime) or not coprime(G[i], G[j]):
-            for z, i1, i2, skip in critical_pairs(dom, G, done, i, j, chain):
+            for z, i1, i2, skip in critical_pairs(dom, G, i, j, True):
                 if skip or (i == j and i1 == i2):
                     continue
                 _m1, a1, _m2, a2 = critical_pair(dom, z, G[i], i1, G[j], i2)
-                if dom.equal(a1, a2):
+                if a1 == a2:
                     continue
                 nf1, _ = normal_form(dom, a1, G, max_steps)
                 nf2, _ = normal_form(dom, a2, G, max_steps)
                 if not dom.is_zero(dom.sub(nf1, nf2)):
                     return False
-        done.add((i, j))
     return True
 
 
@@ -249,12 +241,22 @@ def member_ideal(
     return dom.is_zero(h)
 
 
+def ideal_congruence_holds(dom: Domain, a, b, basis: Sequence) -> bool:
+    """Whether a - b lies in the ideal generated by the basis.
+
+    Completion plus reduction, exact on every domain: a Groebner basis
+    reduces exactly the elements of its ideal to zero.
+    """
+    diff = dom.sub(a, b)
+    return dom.is_zero(diff) or member_ideal(dom, diff, gb(dom, basis).basis)
+
+
 def verify_cofactors(dom: Domain, rows: Sequence, original: Sequence) -> bool:
     """Replay every cofactor row exactly against the original generators."""
     for row in rows:
         acc = dom.zero
         for orig, mult in row.cofactors.items():
             acc = dom.add(acc, dom.mul(mult, original[orig]))
-        if not dom.equal(acc, row.element):
+        if acc != row.element:
             return False
     return True

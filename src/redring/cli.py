@@ -13,8 +13,9 @@ A problem file is line-oriented UTF-8 with ``#`` comments::
 
 ``ring`` selects q, z or ``zmod N``; ``vars`` (optional) lifts the scalar
 ring to polynomials; ``order`` picks lex, deglex or degrevlex (default
-degrevlex).  Exit codes: 0 ok, 1 negative verdict, 2 parse error, 3 step cap
-exceeded, 4 contract violation (a domain broke one of its own promises).
+degrevlex).  Exit codes: 0 ok, 1 negative verdict, 2 parse error (also an
+unreadable file or a bad flag value), 3 step cap exceeded, 4 contract
+violation (a domain broke one of its own promises).
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .buchberger import gb, is_groebner_basis, member_ideal, verify_cofactors
+from .buchberger import GBResult, gb, is_groebner_basis, verify_cofactors
 from .core import (
+    DEFAULT_STEP_BOUND,
     ContractViolationError,
     Domain,
     NonTerminationError,
@@ -45,8 +47,6 @@ from .scalars import (
 class ProblemParseError(ValueError):
     def __init__(self, message: str, line: int, column: int = 1) -> None:
         super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
 
 
 @dataclass
@@ -134,32 +134,32 @@ def _resolve(pf: ProblemFile, args) -> tuple:
         dom = pf.build_domain()
     except ValueError as exc:
         raise ProblemParseError(str(exc), 1) from exc
-    gens = []
-    for lineno, text in pf.generator_texts:
+
+    def parse(lineno: int, text: str):
         try:
-            gens.append(dom.parse(text))
+            return dom.parse(text)
         except ValueError as exc:
             raise ProblemParseError(str(exc), lineno) from exc
-    probes = []
-    for lineno, text in pf.probe_texts:
-        try:
-            probes.append(dom.parse(text))
-        except ValueError as exc:
-            raise ProblemParseError(str(exc), lineno) from exc
-    return dom, gens, probes
+
+    gens = [parse(*item) for item in pf.generator_texts]
+    return dom, gens, [parse(*item) for item in pf.probe_texts]
 
 
-def _cmd_gb(args) -> int:
-    pf = parse_problem_text(_read(args.problem))
-    dom, gens, _probes = _resolve(pf, args)
-    started = time.perf_counter()
-    result = gb(
+def _complete(dom: Domain, gens: list, args) -> GBResult:
+    return gb(
         dom,
         gens,
         chain_criterion=args.chain_criterion == "on",
         max_steps=args.max_steps,
         max_pairs=args.max_steps,
     )
+
+
+def _cmd_gb(args) -> int:
+    pf = parse_problem_text(_read(args.problem))
+    dom, gens, _probes = _resolve(pf, args)
+    started = time.perf_counter()
+    result = _complete(dom, gens, args)
     elapsed = time.perf_counter() - started
     shown = [dom.canonical_associate(g) if args.monic else g for g in result.basis]
     if args.certify and not verify_cofactors(dom, result.rows, gens):
@@ -204,28 +204,16 @@ def _cmd_gb(args) -> int:
 
 def _cmd_member(args) -> int:
     pf = parse_problem_text(_read(args.problem))
-    dom, gens, probes = _resolve(pf, args)
     if args.probe is not None:
-        try:
-            probes = [dom.parse(args.probe)]
-        except ValueError as exc:
-            raise ProblemParseError(str(exc), 1) from exc
+        pf.probe_texts = [(1, args.probe)]
+    dom, gens, probes = _resolve(pf, args)
     if not probes:
         raise ProblemParseError("no probe given (use --probe or a probes: section)", 1)
-    basis = gb(
-        dom,
-        gens,
-        chain_criterion=args.chain_criterion == "on",
-        max_steps=args.max_steps,
-        max_pairs=args.max_steps,
-    ).basis
-    all_member = True
+    basis = _complete(dom, gens, args).basis
     verdicts = []
     for probe in probes:
         h, _ = normal_form(dom, probe, basis, args.max_steps)
-        member = dom.is_zero(h)
-        all_member = all_member and member
-        verdicts.append((probe, member, h))
+        verdicts.append((probe, dom.is_zero(h), h))
     if args.json:
         print(
             json.dumps(
@@ -245,7 +233,7 @@ def _cmd_member(args) -> int:
     else:
         for _probe, member, h in verdicts:
             print(("MEMBER " if member else "NOT-MEMBER ") + dom.render(h))
-    return 0 if all_member else 1
+    return 0 if all(member for _, member, _ in verdicts) else 1
 
 
 def _cmd_check(args) -> int:
@@ -271,6 +259,20 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line on one stderr line, exit status 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("problem", help="problem file path")
     sub.add_argument("--ring", help="override the ring selector (q, z, zmod:N)")
@@ -286,13 +288,13 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
         " in polynomial rings over q)",
     )
     sub.add_argument(
-        "--max-steps", type=int, default=10**6, help="reduction/pair step cap"
+        "--max-steps", type=positive, default=DEFAULT_STEP_BOUND, help="reduction/pair step cap"
     )
     sub.add_argument("--json", action="store_true", help="structured output")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="redring",
         description="Groebner bases in reduction rings: fields, Z, Z/nZ and polynomials over them.",
     )
@@ -322,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--is-gb", action="store_true", help="test the generators with the finite criterion"
     )
     check_cmd.add_argument(
-        "--samples", type=int, default=2000, help="sample budget for axiom checks"
+        "--samples", type=positive, default=2000, help="sample budget for axiom checks"
     )
     check_cmd.set_defaults(handler=_cmd_check)
     return parser
@@ -333,10 +335,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ProblemParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ProblemParseError, OSError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except NonTerminationError as exc:

@@ -387,9 +387,6 @@ class PolyRing(Domain):
         self._require_same(a, b)
         return Polynomial(self, self._times(a.terms, b.terms))
 
-    def equal(self, a: Polynomial, b: Polynomial) -> bool:
-        return a.terms == b.terms
-
     def is_zero(self, a: Polynomial) -> bool:
         return a.is_zero
 
@@ -398,7 +395,7 @@ class PolyRing(Domain):
         for mp, mq in zip(p.terms, q.terms):
             if mp.pp != mq.pp:
                 return (rank(mp.pp) < rank(mq.pp)) != descending
-            if not self.coeff.equal(mp.coeff, mq.coeff):
+            if mp.coeff != mq.coeff:
                 return self.coeff.less(mp.coeff, mq.coeff)
         return len(p.terms) < len(q.terms)
 

@@ -148,22 +148,28 @@ def generalized_newman_holds(rel: FiniteRelation, less: Callable[[Any, Any], boo
 def find_cycle(elements: Sequence, less: Callable[[Any, Any], bool]) -> Optional[Any]:
     """The first element whose descent under ``less`` runs into a cycle, or None.
 
-    Depth-first from each element in turn, stepping from x to every y with
-    less(y, x) in carrier order; an element below itself is a cycle of
-    length one.  None means ``less`` is acyclic, hence well-founded, on the
-    elements.
+    Depth-first from each element in turn, on an explicit stack, stepping
+    from x to every y with less(y, x) in carrier order; an element below
+    itself is a cycle of length one.  None means ``less`` is acyclic, hence
+    well-founded, on the elements.
     """
     state: dict = {}
-
-    def visit(x) -> bool:
-        state[x] = "open"
-        for y in elements:
-            if less(y, x) and (state.get(y) == "open" or (y not in state and visit(y))):
-                return True
-        state[x] = "done"
-        return False
-
     for e in elements:
-        if e not in state and visit(e):
-            return e
+        if e in state:
+            continue
+        state[e] = "open"
+        stack = [(e, iter(elements))]  # the open path, each with its unscanned rest
+        while stack:
+            x, rest = stack[-1]
+            for y in rest:
+                if not less(y, x) or state.get(y) == "done":
+                    continue
+                if y in state:  # open, so on the current path
+                    return e
+                state[y] = "open"
+                stack.append((y, iter(elements)))
+                break
+            else:
+                state[x] = "done"
+                stack.pop()
     return None

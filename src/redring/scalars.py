@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import Domain
 
@@ -46,17 +46,8 @@ class RationalFieldDomain(Domain):
             return []
         return [self.one]
 
-    def iter_reduction_steps(self, a, c) -> Iterator[tuple]:
-        # zero is the only element below anything, so the quotient is the
-        # unique useful multiplier
-        if a != 0 and c != 0:
-            yield a / c, self.zero
-
     def canonical_associate(self, a):
         return self.one if a != 0 else a
-
-    def render(self, a) -> str:
-        return str(a)
 
     def parse(self, text: str) -> Fraction:
         try:
@@ -127,16 +118,6 @@ class IntegerDomain(Domain):
         if c1 == 0 or c2 == 0:
             return []
         return [max(abs(c1), abs(c2))]
-
-    def iter_reduction_steps(self, a, c) -> Iterator[tuple]:
-        if c == 0 or a == 0:
-            return
-        q1 = (a - abs(a)) // c
-        q2 = (a + abs(a)) // c
-        for m in range(min(q1, q2) - 1, max(q1, q2) + 2):
-            b = a - m * c
-            if self.less(b, a):
-                yield m, b
 
     def canonical_associate(self, a) -> int:
         return abs(a)
@@ -224,15 +205,6 @@ class IntegerQuotientDomain(Domain):
 
     def carrier_size(self) -> int:
         return self.n
-
-    def iter_reduction_steps(self, a, c) -> Iterator[tuple]:
-        c = c % self.n
-        if c == 0:
-            return
-        for m in range(self.n):
-            b = (a - m * c) % self.n
-            if b < a:
-                yield m, b
 
     def parse(self, text: str) -> int:
         try:

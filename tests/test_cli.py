@@ -191,6 +191,50 @@ def test_missing_file_is_parse_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_problem_is_parse_error(kind, tmp_path, capsys):
+    path = tmp_path
+    if kind == "non-utf8":
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("ring q\ngens:\n7 # caf\u00e9\n".encode("latin-1"))
+    code, _, err = run(capsys, ["gb", str(path)])
+    assert code == 2
+    assert err.startswith("parse error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--axioms", "--samples", "0"], ["gb", "--max-steps", "-1"]],
+    ids=["samples-zero", "max-steps-negative"],
+)
+def test_non_positive_cap_is_rejected(argv, problem, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([argv[0], problem(Z_PROBLEM), *argv[1:]])
+    command, flag, value = argv[0], argv[-2], argv[-1]
+    assert exit_.value.code == 2
+    expected = f"redring {command}: error: argument {flag}: must be positive, got {value}\n"
+    assert capsys.readouterr().err == expected
+
+
+# A Z[x,y,z] system whose completion, without interreduction, runs for minutes
+RUNAWAY_ZXYZ = """\
+ring z
+vars x,y,z
+order degrevlex
+gens:
+-y^2*z^2 - 7*y^2 - 5*z^2
+-9*x^2*y^2*z^2 - 6*x*y^2*z + 8*x*z^2
+-x^2*y*z^2 - 5*z^2
+"""
+
+
+def test_runaway_completion_stops_at_the_pair_cap(problem, capsys):
+    code, out, err = run(capsys, ["gb", problem(RUNAWAY_ZXYZ), "--max-steps", "60"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("step cap exceeded: ")
+
+
 def test_step_cap_exit_code(problem, capsys):
     code, _, err = run(capsys, ["gb", problem(Z_PROBLEM), "--max-steps", "1"])
     assert code == 3

@@ -247,3 +247,14 @@ def test_find_cycle_matches_brute_force():
             found += 1
             assert on_cycle & reach[start]
     assert 0 < found < 100
+
+
+def test_find_cycle_survives_long_descending_chains():
+    # 1200 elements, each below the one before: a recursive search overflows
+    chain = FiniteRelation.make(range(1199, -1, -1), [])
+    assert generalized_newman_holds(chain, lambda a, b: a < b)
+
+    def closed(a, b):  # the same chain, closed into a cycle by 1199 < 0
+        return a < b or (a, b) == (1199, 0)
+
+    assert find_cycle(range(1199, -1, -1), closed) == 1199
