@@ -3,24 +3,26 @@
 ``gb`` and ``is_groebner_basis`` share one pair walk.  ``index_pairs``
 yields every index pair (i, j), i <= j, of a basis that may grow while it
 is walked, self-pairs included, in j-major order, so the pairs of an
-appended element follow all earlier ones.  ``critical_pairs`` walks, for
-each pair of multiplier indices, the domain's canonical minimal common
-reducibles (mntcrs) z, and says which of them the chain criterion skips;
-the caller forms each other critical pair by one reduction step on each
-side (``critical_pair``).  ``gb`` totally reduces both sides modulo the
-current basis and appends the difference h of the two normal forms whenever
-it is nonzero.  Every appended element carries an exact cofactor row over
-the original generators, and the whole run is logged in a replayable trace.
+appended element follow all earlier ones.  For each pair of multiplier
+indices, ``critical_pairs`` walks the domain's canonical minimal common
+reducibles (mntcrs) z and alone decides which need reduction.  It skips,
+in this order, those whose critical pair provably joins:
 
-``is_groebner_basis`` walks the same pairs and skips those that provably
-join: self-pairs at one multiplier index and other equal sides (sound in
-every domain); distinct elements with coprime leads (the product
-criterion, through the optional ``coprime_leads`` hook that only
-field-coefficient polynomials provide); and mntcrs the chain criterion
-covers.  The chain criterion rests on earlier pairs alone: in j-major
-order both side pairs {k, i} and {k, j} of the pair (i, j) have been
-walked exactly when k < i.  Skipped mntcrs are not re-checked for the
-mntcr contract; ``check_axioms`` tests it.
+* ``equal-sides``: a self-pair at one multiplier index (not even formed);
+* ``product-criterion``: distinct elements whose leads are coprime, through
+  the optional ``coprime_leads`` hook that only field-coefficient
+  polynomials provide (Buchberger's product criterion);
+* ``chain-criterion``, where asked for: some k < i reduces z on its own.
+  In j-major order those k are exactly the ones whose side pairs {k, i}
+  and {k, j} have been walked, so the skip rests on earlier pairs alone;
+* ``equal-sides``: the two formed sides (``critical_pair``) are equal.
+
+``gb`` totally reduces both sides of every other pair modulo the current
+basis and appends the difference h of the normal forms when it is nonzero,
+with an exact cofactor row over the original generators, all in a
+replayable trace; ``is_groebner_basis`` (the finite criterion) asks that
+each h be zero.  Skipped mntcrs are not re-checked for the mntcr contract;
+``check_axioms`` tests it.
 """
 
 from __future__ import annotations
@@ -97,26 +99,34 @@ def index_pairs(basis: list):
 
 
 def critical_pairs(dom: Domain, basis: list, i: int, j: int, chain: bool):
-    """Yield (z, i1, i2, skip) for each mntcr z of basis elements i and j.
+    """Yield (z, i1, i2, skip, sides) for each mntcr z of basis elements i and j.
 
-    Index pairs (i1, i2) come in declared order; ``skip`` is set where
-    ``chain`` is set and the chain criterion skips z.
+    Index pairs (i1, i2) come in declared order.  Either ``skip`` names the
+    rule that skips z (module docstring; the chain criterion only where
+    ``chain`` is set), or it is None and ``sides`` is (m1, a1, m2, a2).
     """
     g1, g2 = basis[i], basis[j]
+    coprime = dom.coprime_leads
+    product = i < j and callable(coprime) and coprime(g1, g2)
     indices = dom.multiplier_indices
     walk = [(z, i1, i2) for i1 in indices for i2 in indices for z in dom.mntcrs(g1, i1, g2, i2)]
     for z, i1, i2 in walk:
-        yield z, i1, i2, chain and chain_criterion_skip(dom, basis, i, z)
+        if i == j and i1 == i2:
+            yield z, i1, i2, "equal-sides", None
+        elif product:
+            yield z, i1, i2, "product-criterion", None
+        elif chain and chain_criterion_skip(dom, basis, i, z):
+            yield z, i1, i2, "chain-criterion", None
+        else:
+            sides = critical_pair(dom, z, g1, i1, g2, i2)
+            if sides[1] == sides[3]:  # a1 == a2
+                yield z, i1, i2, "equal-sides", None
+            else:
+                yield z, i1, i2, None, sides
 
 
 def chain_criterion_skip(dom: Domain, basis: Sequence, i: int, z) -> bool:
-    """Whether an earlier basis element already subsumes the pair (i, j) at z.
-
-    True iff some k < i reduces z on its own: in the j-major walk of
-    ``index_pairs`` those are exactly the k whose side pairs {k, i} and
-    {k, j} with the current pair (i, j), i <= j, are both walked.  Domains
-    without a single-element reducibility test never skip.
-    """
+    """Whether some k < i reduces z on its own (module docstring); False without the hook."""
     test = dom.single_reducibility_test
     return callable(test) and any(test(z, g) for g in basis[:i])
 
@@ -140,9 +150,8 @@ def gb(
 
     Returns the basis (input's nonzero elements as a prefix), one cofactor
     row per appended element, and the trace.  Zero generators are dropped up
-    front.  The chain criterion runs where ``chain_criterion`` is set and
-    the domain provides a single-element reducibility test; elsewhere it
-    could never skip a pair.
+    front.  ``chain_criterion`` switches the chain criterion alone; the
+    other skips of ``critical_pairs`` always apply.
     """
     kept = [(k, g) for k, g in enumerate(generators) if not dom.is_zero(g)]
     basis = [g for _, g in kept]
@@ -157,18 +166,18 @@ def gb(
             raise NonTerminationError(f"pair walk did not finish within {max_pairs} pairs")
         trace.pairs_processed += 1
         trace.emit(f"pair {i} {j}")
-        for z, i1, i2, skip in critical_pairs(dom, basis, i, j, chain_criterion):
+        for z, i1, i2, skip, sides in critical_pairs(dom, basis, i, j, chain_criterion):
             trace.emit(f"mntcr {dom.render(z)} indices {i1} {i2}")
             if skip:
-                trace.chain_skips += 1
-                trace.emit("skip chain-criterion")
+                if skip == "chain-criterion":
+                    trace.chain_skips += 1
+                trace.emit(f"skip {skip}")
                 continue
-            m1, a1, m2, a2 = critical_pair(dom, z, basis[i], i1, basis[j], i2)
+            m1, a1, m2, a2 = sides
             trace.critical_pairs_reduced += 1
             trace.emit(f"critical {dom.render(a1)} | {dom.render(a2)}")
             nf1, certs1 = normal_form(dom, a1, basis, max_steps)
-            same = a1 == a2  # normal_form is deterministic: reuse side 1
-            nf2, certs2 = (nf1, certs1) if same else normal_form(dom, a2, basis, max_steps)
+            nf2, certs2 = normal_form(dom, a2, basis, max_steps)
             steps = f"steps {len(certs1)} {len(certs2)}"
             trace.emit(f"reduced {dom.render(nf1)} | {dom.render(nf2)} {steps}")
             h = dom.sub(nf1, nf2)
@@ -202,23 +211,19 @@ def gb(
 
 
 def is_groebner_basis(dom: Domain, basis: Sequence, *, max_steps: int = DEFAULT_STEP_BOUND) -> bool:
-    """The finite criterion: every critical pair joins (skipped pairs: module docstring)."""
+    """The finite criterion: every critical pair that ``critical_pairs`` does not skip joins."""
     G = list(basis)
     if any(dom.is_zero(g) for g in G):
         raise ValueError("basis must be zero-free")
-    coprime = dom.coprime_leads
     for i, j in index_pairs(G):
-        if i == j or not callable(coprime) or not coprime(G[i], G[j]):
-            for z, i1, i2, skip in critical_pairs(dom, G, i, j, True):
-                if skip or (i == j and i1 == i2):
-                    continue
-                _m1, a1, _m2, a2 = critical_pair(dom, z, G[i], i1, G[j], i2)
-                if a1 == a2:
-                    continue
-                nf1, _ = normal_form(dom, a1, G, max_steps)
-                nf2, _ = normal_form(dom, a2, G, max_steps)
-                if not dom.is_zero(dom.sub(nf1, nf2)):
-                    return False
+        for _z, _i1, _i2, skip, sides in critical_pairs(dom, G, i, j, True):
+            if skip:
+                continue
+            _m1, a1, _m2, a2 = sides
+            nf1, _ = normal_form(dom, a1, G, max_steps)
+            nf2, _ = normal_form(dom, a2, G, max_steps)
+            if not dom.is_zero(dom.sub(nf1, nf2)):
+                return False
     return True
 
 

@@ -36,7 +36,7 @@ from .core import (
     check_axioms,
     normal_form,
 )
-from .poly import make_poly_domain
+from .poly import TermOrder, make_poly_domain
 from .scalars import (
     make_field_domain,
     make_integer_domain,
@@ -45,8 +45,12 @@ from .scalars import (
 
 
 class ProblemParseError(ValueError):
-    def __init__(self, message: str, line: int, column: int = 1) -> None:
-        super().__init__(f"line {line}, column {column}: {message}")
+    """Text that does not parse, located by a file line number, a flag name or nothing."""
+
+    def __init__(self, message: str, where=None) -> None:
+        if isinstance(where, int):
+            where = f"line {where}"
+        super().__init__(f"{where}: {message}" if where else message)
 
 
 @dataclass
@@ -58,11 +62,20 @@ class ProblemFile:
     order_kind: str = "degrevlex"
     generator_texts: list = field(default_factory=list)
     probe_texts: list = field(default_factory=list)
+    origins: dict = field(default_factory=dict)  # header keyword -> its line or flag
 
     def build_domain(self) -> Domain:
-        dom = _scalar_domain(self.ring_spec)
-        if self.var_names:
-            dom = make_poly_domain(dom, self.var_names, self.order_kind)
+        """The selected ring; a bad value is a ProblemParseError at its line or flag."""
+        key = "ring"
+        try:
+            dom = _scalar_domain(self.ring_spec)
+            if self.var_names:
+                key = "order"
+                order = TermOrder(self.order_kind, len(self.var_names))
+                key = "vars"
+                dom = make_poly_domain(dom, self.var_names, order)
+        except ValueError as exc:
+            raise ProblemParseError(str(exc), self.origins.get(key)) from exc
         return dom
 
 
@@ -86,20 +99,19 @@ def parse_problem_text(text: str) -> ProblemFile:
     pf = ProblemFile()
     section = "header"
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        body = raw.split("#", 1)[0]  # element parsers skip blanks and report file columns
+        line = body.strip()
         if not line:
             continue
         lowered = line.lower()
-        if lowered == "gens:":
-            section = "gens"
-            continue
-        if lowered == "probes:":
-            section = "probes"
+        if lowered in ("gens:", "probes:"):
+            section = lowered[:-1]
             continue
         if section == "header":
             parts = line.split(None, 1)
             keyword = parts[0].lower()
             value = parts[1].strip() if len(parts) > 1 else ""
+            pf.origins[keyword] = lineno
             if keyword == "ring":
                 if not value:
                     raise ProblemParseError("ring selector missing", lineno)
@@ -117,42 +129,35 @@ def parse_problem_text(text: str) -> ProblemFile:
                     lineno,
                 )
         elif section == "gens":
-            pf.generator_texts.append((lineno, line))
+            pf.generator_texts.append((lineno, body))
         else:
-            pf.probe_texts.append((lineno, line))
+            pf.probe_texts.append((lineno, body))
     return pf
 
 
 def _resolve(pf: ProblemFile, args) -> tuple:
-    if getattr(args, "ring", None):
-        pf.ring_spec = args.ring
-    if getattr(args, "vars", None):
-        pf.var_names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
-    if getattr(args, "order", None):
+    if args.ring:
+        pf.ring_spec, pf.origins["ring"] = args.ring, "--ring"
+    if args.vars:
+        names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
+        pf.var_names, pf.origins["vars"] = names, "--vars"
+    if args.order:
         pf.order_kind = args.order
-    try:
-        dom = pf.build_domain()
-    except ValueError as exc:
-        raise ProblemParseError(str(exc), 1) from exc
+    dom = pf.build_domain()
 
-    def parse(lineno: int, text: str):
+    def parse(where, text: str):
         try:
             return dom.parse(text)
         except ValueError as exc:
-            raise ProblemParseError(str(exc), lineno) from exc
+            raise ProblemParseError(str(exc), where) from exc
 
     gens = [parse(*item) for item in pf.generator_texts]
     return dom, gens, [parse(*item) for item in pf.probe_texts]
 
 
 def _complete(dom: Domain, gens: list, args) -> GBResult:
-    return gb(
-        dom,
-        gens,
-        chain_criterion=args.chain_criterion == "on",
-        max_steps=args.max_steps,
-        max_pairs=args.max_steps,
-    )
+    chain = args.chain_criterion == "on"
+    return gb(dom, gens, chain_criterion=chain, max_steps=args.max_steps, max_pairs=args.max_steps)
 
 
 def _cmd_gb(args) -> int:
@@ -190,9 +195,7 @@ def _cmd_gb(args) -> int:
         sys.stdout.write(result.trace.to_text())
     if args.certify:
         for row in result.rows:
-            parts = " + ".join(
-                f"({dom.render(v)})*g{k}" for k, v in row.cofactors.items()
-            )
+            parts = " + ".join(f"({dom.render(v)})*g{k}" for k, v in row.cofactors.items())
             print(f"cofactor {dom.render(row.element)} = {parts}")
         print("cofactors: VERIFIED")
     if args.check:
@@ -205,31 +208,21 @@ def _cmd_gb(args) -> int:
 def _cmd_member(args) -> int:
     pf = parse_problem_text(_read(args.problem))
     if args.probe is not None:
-        pf.probe_texts = [(1, args.probe)]
+        pf.probe_texts = [("--probe", args.probe)]
     dom, gens, probes = _resolve(pf, args)
     if not probes:
-        raise ProblemParseError("no probe given (use --probe or a probes: section)", 1)
+        raise ProblemParseError("no probe given (use --probe or a probes: section)")
     basis = _complete(dom, gens, args).basis
     verdicts = []
     for probe in probes:
         h, _ = normal_form(dom, probe, basis, args.max_steps)
         verdicts.append((probe, dom.is_zero(h), h))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "verdicts": [
-                        {
-                            "probe": dom.render(p),
-                            "member": m,
-                            "normal_form": dom.render(h),
-                        }
-                        for p, m, h in verdicts
-                    ]
-                },
-                sort_keys=True,
-            )
-        )
+        rendered = [
+            {"probe": dom.render(p), "member": m, "normal_form": dom.render(h)}
+            for p, m, h in verdicts
+        ]
+        print(json.dumps({"verdicts": rendered}, sort_keys=True))
     else:
         for _probe, member, h in verdicts:
             print(("MEMBER " if member else "NOT-MEMBER ") + dom.render(h))
@@ -273,7 +266,7 @@ def positive(text: str) -> int:
     return value
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
+def _common_flags(sub: argparse.ArgumentParser, completes: bool = False) -> None:
     sub.add_argument("problem", help="problem file path")
     sub.add_argument("--ring", help="override the ring selector (q, z, zmod:N)")
     sub.add_argument("--vars", help="override the variable list, comma separated")
@@ -281,15 +274,16 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
         "--order", choices=("lex", "deglex", "degrevlex"), help="override the term order"
     )
     sub.add_argument(
-        "--chain-criterion",
-        choices=("on", "off"),
-        default="on",
-        help="pair-skipping chain criterion (default on; it can skip pairs only"
-        " in polynomial rings over q)",
-    )
-    sub.add_argument(
         "--max-steps", type=positive, default=DEFAULT_STEP_BOUND, help="reduction/pair step cap"
     )
+    if completes:
+        sub.add_argument(
+            "--chain-criterion",
+            choices=("on", "off"),
+            default="on",
+            help="chain criterion; off disables it alone (default on; it can skip pairs"
+            " only in polynomial rings over q)",
+        )
     sub.add_argument("--json", action="store_true", help="structured output")
 
 
@@ -301,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     gb_cmd = commands.add_parser("gb", help="complete the generators into a Groebner basis")
-    _common_flags(gb_cmd)
+    _common_flags(gb_cmd, completes=True)
     gb_cmd.add_argument("--certify", action="store_true", help="print and verify cofactor rows")
     gb_cmd.add_argument("--trace", action="store_true", help="print the completion trace")
     gb_cmd.add_argument("--monic", action="store_true", help="canonical scaling for display")
@@ -311,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     gb_cmd.set_defaults(handler=_cmd_gb)
 
     member_cmd = commands.add_parser("member", help="decide ideal membership of probes")
-    _common_flags(member_cmd)
+    _common_flags(member_cmd, completes=True)
     member_cmd.add_argument("--probe", help="probe element (overrides the probes: section)")
     member_cmd.set_defaults(handler=_cmd_member)
 

@@ -53,7 +53,7 @@ class RationalFieldDomain(Domain):
         try:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {text!r}") from exc
+            raise ValueError(f"not a rational: {text.strip()!r}") from exc
 
     def sample_elements(self, rng: random.Random, count: int) -> list:
         return [
@@ -126,7 +126,7 @@ class IntegerDomain(Domain):
         try:
             return int(text.strip())
         except ValueError as exc:
-            raise ValueError(f"not an integer: {text!r}") from exc
+            raise ValueError(f"not an integer: {text.strip()!r}") from exc
 
     def sample_elements(self, rng: random.Random, count: int) -> list:
         return [rng.randint(-10**4, 10**4) for _ in range(count)]
@@ -210,7 +210,7 @@ class IntegerQuotientDomain(Domain):
         try:
             return int(text.strip()) % self.n
         except ValueError as exc:
-            raise ValueError(f"not a residue: {text!r}") from exc
+            raise ValueError(f"not a residue: {text.strip()!r}") from exc
 
     def sample_elements(self, rng: random.Random, count: int) -> list:
         return [rng.randrange(self.n) for _ in range(count)]

@@ -279,10 +279,11 @@ def test_state_invariants_hold_at_exit():
 
 
 # Golden replay: the trace digest and the rendered basis of fixed systems.
-# katsura3, cyclic4 and z24 were recorded before the sorted-merge polynomial
-# arithmetic landed; z360 (Z/360Z[x,y]) and zxyz (Z[x,y,z]) before the
-# closed-form Z/nZ witness and the cached ann family.  A faster path must
-# leave every step, and so every byte, unchanged.
+# The digests were re-pinned when completion began to skip the pairs the
+# checker skips (equal sides, the product criterion); that changed the
+# katsura3 and cyclic4 bases and left the z24, z360 (Z/360Z[x,y]) and zxyz
+# (Z[x,y,z]) bases as they were.  A faster path must leave every step, and
+# so every byte, unchanged.
 GOLDEN = {
     "katsura3": (
         Q,
@@ -293,7 +294,7 @@ GOLDEN = {
             "2*a*b + 2*b*c + 2*c*d - b",
             "2*a*c + b^2 + 2*b*d - c",
         ),
-        "d55a1c88321ef08a05eade3be21ad34c84fb1f0133ce6fa98c0cb1311a95af26",
+        "0f13d1dac078a9724960aced05d2bbcf9b9c6fbc29833dd734cdc56bfe6d679a",
         (
             "a + 2*b + 2*c + 2*d - 1",
             "a^2 + 2*b^2 + 2*c^2 + 2*d^2 - a",
@@ -301,12 +302,12 @@ GOLDEN = {
             "b^2 + 2*a*c + 2*b*d - c",
             "32*b*c + 30*c^2 - 4*b*d + 32*c*d + 6*d^2 - 2*b - 8*c - 2*d",
             "7/16*c^2 + 7/8*b*d + 2*c*d + 27/16*d^2 - 1/16*b - 1/4*c - 9/16*d",
-            "27/8*b*d^2 + 243/28*c*d^2 + 477/56*d^3 - 6/7*b*d - 197/112*c*d"
-            " - 213/56*d^2 + 15/224*b + 1/7*c + 9/28*d",
-            "864/49*c*d^2 + 960/49*d^3 - 48/49*b*d - 544/147*c*d - 416/49*d^2"
-            " + 16/49*b + 80/147*c + 32/49*d",
-            "22/189*d^4 - 724/15309*d^3 + 74/15309*b*d + 263/19683*c*d"
-            " + 412/45927*d^2 - 13/91854*b - 389/275562*c - 94/45927*d",
+            "-27/16*b*d^2 - 243/56*c*d^2 - 477/112*d^3 + 3/7*b*d + 197/224*c*d + 213/112*d^2"
+            " - 15/448*b - 1/14*c - 9/56*d",
+            "-432/49*c*d^2 - 480/49*d^3 + 24/49*b*d + 272/147*c*d + 208/49*d^2 - 8/49*b"
+            " - 40/147*c - 16/49*d",
+            "55/63*d^4 - 1810/5103*d^3 + 185/5103*b*d + 1315/13122*c*d + 1030/15309*d^2"
+            " - 65/61236*b - 1945/183708*c - 235/15309*d",
         ),
     ),
     "cyclic4": (
@@ -318,7 +319,7 @@ GOLDEN = {
             "a*b*c + b*c*d + c*d*a + d*a*b",
             "a*b*c*d - 1",
         ),
-        "b2763b21f396d16c68830408f66b7fc4c39dc5781ff0f3ce39381e98cfb9cddc",
+        "2a4abbcbb37fdbfab8bca3d652ac3954f5e34a28ea8aa79cc8ace14cba7d3e21",
         (
             "a + b + c + d",
             "a*b + b*c + a*d + c*d",
@@ -327,23 +328,23 @@ GOLDEN = {
             "-b^2 - 2*b*d - d^2",
             "-b*c^2 - c^2*d + b*d^2 + d^3",
             "b*c*d^2 + c^2*d^2 - b*d^3 + c*d^3 - d^4 - 1",
-            "-c^3*d^2 - c^2*d^3 - b*d^4 - d^5 + b + c + 2*d",
             "b*d^4 + d^5 - b - d",
-            "c^2*d^4 + b*c - b*d + c*d - 2*d^2",
+            "c^3*d^2 + c^2*d^3 - c - d",
+            "-c^2*d^4 - b*c + b*d - c*d + 2*d^2",
         ),
     ),
     "z24": (
         make_integer_quotient_domain(24),
         "xy",
         ("4*x^2 + y", "6*x*y"),
-        "e46b876c185a0a669f1b77de6b9d9032fa56348ff3eaae7fbc3b30ffc0b16a3f",
+        "efe834a10d4c7792e4b11f3e4d90892e53f0029a206c2a88f3ae2d119139fb28",
         ("4*x^2 + y", "6*x*y", "2*x^2*y + 5*y^2", "3*y^2", "23*x^2*y^2 + 2*y^3"),
     ),
     "z360": (
         make_integer_quotient_domain(360),
         "xy",
         ("12*x^2*y + 30*x + 7", "45*x*y^2 + 8*y"),
-        "da2aba74292dafc0d48745a2935a2fe33cb2f1e1bafc6aba2503bbb3cbd9151c",
+        "376b09d92abf87b0a1c4c2a44e99776abf25de25c206b4264e35b0df6ef8dee3",
         (
             "12*x^2*y + 30*x + 7",
             "45*x*y^2 + 8*y",
@@ -363,7 +364,7 @@ GOLDEN = {
         Z,
         "xyz",
         ("3*x^2 + 2*y", "5*x*y - z", "4*y*z + x"),
-        "664fa8bb0462f02a63ce54b7fa4333a0479048dd3d218308e9c741ff54605294",
+        "110416d117279db8e62f887a7d9dbb5d3b252eccd97f083bca4915e4f7503c22",
         (
             "3*x^2 + 2*y",
             "5*x*y - z",
@@ -426,6 +427,29 @@ CHECKER_RINGS = {
 }
 
 
+def random_generators(rng, R, top, size, lo=2, hi=3):
+    """lo to hi nonzero polynomials of 1 to 3 terms with small random coefficients."""
+    gens = []
+    while len(gens) < rng.randint(lo, hi):
+        items = []
+        for _ in range(rng.randint(1, 3)):
+            c = R.coeff.parse(str(rng.randint(-size, size)))
+            items.append((c, tuple(rng.randint(0, top) for _ in R.names)))
+        p = R.poly(items)
+        if not p.is_zero:
+            gens.append(p)
+    return gens
+
+
+def assert_gb_output_is_certified_basis(R, gens):
+    """gb's output, chain criterion on and off, passes the criterion-free checker."""
+    for chain in (True, False):
+        res = gb(R, gens, chain_criterion=chain)
+        shown = [R.render(g) for g in gens]
+        assert reference_is_groebner_basis(R, res.basis), (shown, chain)
+        assert verify_cofactors(R, res.rows, gens), (shown, chain)
+
+
 @pytest.mark.parametrize("name", sorted(CHECKER_RINGS))
 def test_checker_agrees_with_reference(name):
     coeff, names, order, top, size = CHECKER_RINGS[name]
@@ -433,21 +457,29 @@ def test_checker_agrees_with_reference(name):
     rng = random.Random(name)
     verdicts = []
     for _ in range(8):
-        gens = []
-        while len(gens) < rng.randint(2, 3):
-            items = []
-            for _ in range(rng.randint(1, 3)):
-                c = coeff.parse(str(rng.randint(-size, size)))
-                items.append((c, tuple(rng.randint(0, top) for _ in names)))
-            p = R.poly(items)
-            if not p.is_zero:
-                gens.append(p)
+        gens = random_generators(rng, R, top, size)
+        assert_gb_output_is_certified_basis(R, gens)
         basis = gb(R, gens).basis
         for candidate in (basis, basis[:-1], basis[1:], tuple(gens)):
             verdict = reference_is_groebner_basis(R, candidate)
             assert is_groebner_basis(R, candidate) is verdict, [R.render(g) for g in candidate]
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("name", ["z24", "z360"])
+def test_gb_completes_single_generators(name):
+    # one generator: only its self-pairs at different indices (0, "ann") can
+    # add elements, so a rule that drops them leaves a non-basis
+    coeff, names, order, top, size = CHECKER_RINGS[name]
+    R = make_poly_domain(coeff, tuple(names), order)
+    rng = random.Random(f"single-{name}")
+    grown = 0
+    for _ in range(5):
+        gens = random_generators(rng, R, top, size, 1, 1)
+        assert_gb_output_is_certified_basis(R, gens)
+        grown += len(gb(R, gens).basis) > 1
+    assert grown
 
 
 @pytest.mark.parametrize(
@@ -500,13 +532,10 @@ def test_checker_skips_pairs_that_provably_join(monkeypatch):
     assert len(calls) <= 2 * (formed - n)
 
 
-@pytest.mark.parametrize("name", ["cyclic4", "z24"])
-def test_checker_forms_no_self_pair_at_one_index(name, monkeypatch):
+def record_formed_pairs(monkeypatch) -> list:
+    """Record (g1, i1, g2, i2) for every critical pair the engine forms."""
     import redring.buchberger as engine
 
-    coeff, names, _texts, _digest, basis = GOLDEN[name]
-    R = make_poly_domain(coeff, tuple(names), "degrevlex")
-    G = [R.parse(t) for t in basis]
     real = engine.critical_pair
     formed = []
 
@@ -515,10 +544,49 @@ def test_checker_forms_no_self_pair_at_one_index(name, monkeypatch):
         return real(dom, z, g1, i1, g2, i2)
 
     monkeypatch.setattr(engine, "critical_pair", recorded)
-    assert is_groebner_basis(R, G)
+    return formed
+
+
+@pytest.mark.parametrize(
+    "name, subject",
+    [
+        pytest.param(name, subject, id=name + suffix)
+        for subject, suffix in (("is_groebner_basis", ""), ("gb", "-gb"))
+        for name in ("cyclic4", "z24")
+    ],
+)
+def test_checker_forms_no_self_pair_at_one_index(name, subject, monkeypatch):
+    coeff, names, _texts, _digest, basis = GOLDEN[name]
+    R = make_poly_domain(coeff, tuple(names), "degrevlex")
+    G = [R.parse(t) for t in basis]
+    formed = record_formed_pairs(monkeypatch)
+    if subject == "gb":
+        assert gb(R, G).basis == tuple(G)
+    else:
+        assert is_groebner_basis(R, G)
     assert formed
     # a self-pair at one multiplier index has equal sides: never formed
     assert not [f for f in formed if f[0] is f[2] and f[1] == f[3]]
+
+
+def test_gb_applies_the_product_criterion_only_over_field_coefficients(monkeypatch):
+    formed = record_formed_pairs(monkeypatch)
+    R = make_poly_domain(Q, ("x", "y"), "degrevlex")
+    gens = [R.parse("x^2 + y"), R.parse("y^3")]
+    res = gb(R, gens)
+    assert "skip product-criterion" in res.trace.lines
+    assert not [f for f in formed if f[0] is not f[2]]
+    assert reference_is_groebner_basis(R, res.basis)
+    # the same leads are coprime over Z/360Z, where the pair does not join
+    formed.clear()
+    R = make_poly_domain(make_integer_quotient_domain(360), ("x", "y"), "degrevlex")
+    gens = [R.parse("300*y^2"), R.parse("171*x")]
+    res = gb(R, gens)
+    assert (gens[0], 0, gens[1], 0) in formed
+    assert "skip product-criterion" not in res.trace.lines
+    assert len(res.basis) > 2
+    assert reference_is_groebner_basis(R, res.basis)
+    assert verify_cofactors(R, res.rows, gens)
 
 
 def test_pair_criterion_hooks_only_over_field_coefficients():

@@ -147,7 +147,8 @@ def test_member_uses_probes_section(problem, capsys):
 def test_member_without_probe_errors(problem, capsys):
     code, _, err = run(capsys, ["member", problem(Q_PROBLEM)])
     assert code == 2
-    assert "parse error" in err
+    # no line: the file is well formed, it only lacks a probe
+    assert err == "parse error: no probe given (use --probe or a probes: section)\n"
 
 
 def test_check_axioms(problem, capsys):
@@ -178,6 +179,43 @@ def test_parse_error_reports_line(problem, capsys):
     code, _, err = run(capsys, ["gb", problem(bad)])
     assert code == 2
     assert "line 4" in err
+
+
+def test_parse_error_names_the_probe_flag(problem, capsys):
+    code, _, err = run(capsys, ["member", problem("# comment\n" + Z_PROBLEM), "--probe", "x"])
+    assert code == 2
+    assert err == "parse error: --probe: not an integer: 'x'\n"
+
+
+def test_parse_error_gives_the_file_column(problem, capsys):
+    text = "ring q\nvars x,y\ngens:\nx\n  x^2 ! y\n"
+    code, _, err = run(capsys, ["gb", problem(text)])
+    assert code == 2
+    assert err == "parse error: line 5: unexpected character '!' at column 7\n"
+
+
+@pytest.mark.parametrize(
+    "text, flags, where",
+    [
+        ("ring q\n\nvars x,x\ngens:\nx\n", [], "line 3"),
+        ("ring q\nvars x,y\norder foo\ngens:\nx\n", [], "line 3"),
+        ("\nring zmod x\ngens:\n4\n", [], "line 2"),
+        (Z_PROBLEM, ["--ring", "zmod y"], "--ring"),
+        (Z_PROBLEM, ["--vars", "x,x"], "--vars"),
+    ],
+    ids=["vars-line", "order-line", "ring-line", "ring-flag", "vars-flag"],
+)
+def test_header_errors_name_their_line_or_flag(text, flags, where, problem, capsys):
+    code, _, err = run(capsys, ["gb", problem(text), *flags])
+    assert code == 2
+    assert err.startswith(f"parse error: {where}: ")
+
+
+def test_check_takes_no_chain_criterion(problem, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["check", problem(Q_PROBLEM), "--is-gb", "--chain-criterion", "off"])
+    assert exit_.value.code == 2
+    assert "--chain-criterion" in capsys.readouterr().err
 
 
 def test_unknown_ring_is_parse_error(problem, capsys):
