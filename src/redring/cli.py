@@ -70,10 +70,8 @@ class ProblemFile:
         try:
             dom = _scalar_domain(self.ring_spec)
             if self.var_names:
-                key = "order"
-                order = TermOrder(self.order_kind, len(self.var_names))
                 key = "vars"
-                dom = make_poly_domain(dom, self.var_names, order)
+                dom = make_poly_domain(dom, self.var_names, self.order_kind)
         except ValueError as exc:
             raise ProblemParseError(str(exc), self.origins.get(key)) from exc
         return dom
@@ -123,6 +121,9 @@ def parse_problem_text(text: str) -> ProblemFile:
                 pf.var_names = names
             elif keyword == "order":
                 pf.order_kind = value.lower()
+                if pf.order_kind not in TermOrder.KINDS:
+                    message = f"unknown term order {pf.order_kind!r}; choose from {TermOrder.KINDS}"
+                    raise ProblemParseError(message, lineno)
             else:
                 raise ProblemParseError(
                     f"unknown keyword {parts[0]!r} (expected ring/vars/order/gens:)",
@@ -253,7 +254,17 @@ def _read(path: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line on one stderr line, exit status 2."""
+    """Reports a bad command line on one stderr line, exit status 2.
+
+    An unrecognized argument is reported by the parser of the (sub)command
+    it follows, so every error names the subcommand it concerns.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -311,10 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     check_cmd = commands.add_parser("check", help="axiom report or Groebner-basis verdict")
     _common_flags(check_cmd)
-    check_cmd.add_argument(
-        "--axioms", action="store_true", help="run the reduction-ring axiom checks"
-    )
-    check_cmd.add_argument(
+    mode = check_cmd.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--axioms", action="store_true", help="run the reduction-ring axiom checks")
+    mode.add_argument(
         "--is-gb", action="store_true", help="test the generators with the finite criterion"
     )
     check_cmd.add_argument(

@@ -34,7 +34,9 @@ class Domain:
     Subclasses provide:
 
     * ring operations ``add``, ``neg``, ``mul`` with attributes ``zero`` and
-      ``one`` (commutative, with identity), on elements compared with ``==``;
+      ``one`` (commutative, with identity), on elements compared with ``==``
+      and falsy exactly when zero, as Python numbers are (the checked law
+      "zero-falsy"), so ``is_zero`` needs no override;
     * ``less``, a strict well-founded order whose least element is zero;
     * ``find_multiplier(a, c, index)``, a complete constructive witness and
       the one encoding of a reduction step: it returns some multiplier m
@@ -82,7 +84,7 @@ class Domain:
         return self.add(a, self.neg(b))
 
     def is_zero(self, a) -> bool:
-        return a == self.zero
+        return not a
 
     # order and multipliers
     def less(self, a, b) -> bool:
@@ -192,7 +194,7 @@ def project_reduction_relation(dom: Domain, basis: Sequence, universe: Iterable)
     @functools.cache  # differences recur across pairs: Z/nZ has only n of them
     def is_multiple(d) -> bool:
         ms = ((c, dom.find_multiplier(d, c, i)) for c in basis for i in dom.multiplier_indices)
-        return any(m is not None and dom.is_zero(dom.sub(d, dom.mul(m, c))) for c, m in ms)
+        return any(m is not None and not dom.sub(d, dom.mul(m, c)) for c, m in ms)
 
     steps = frozenset(
         (a, b)
@@ -267,7 +269,7 @@ def _laws(dom: Domain, carrier: Optional[list]) -> list:
     antisymmetry.
     """
     add, mul, neg, less = dom.add, dom.mul, dom.neg, dom.less
-    zero, one, is_zero, render = dom.zero, dom.one, dom.is_zero, dom.render
+    zero, one, render = dom.zero, dom.one, dom.render
     indices = dom.multiplier_indices
 
     def decreases(a, c):
@@ -278,7 +280,7 @@ def _laws(dom: Domain, carrier: Optional[list]) -> list:
         return None
 
     def mntcr_lists(c1, c2):
-        if is_zero(c1) or is_zero(c2):
+        if not (c1 and c2):
             return []
         return [dom.mntcrs(c1, i1, c2, i2) for i1 in indices for i2 in indices]
 
@@ -303,6 +305,7 @@ def _laws(dom: Domain, carrier: Optional[list]) -> list:
             "a b c",
             lambda a, b, c: mul(a, add(b, c)) != add(mul(a, b), mul(a, c)),
         ),
+        ("zero-falsy", "a", lambda a: bool(a) != (a != zero)),
         ("zero-additive-identity", "a", lambda a: add(a, zero) != a),
         ("one-multiplicative-identity", "a", lambda a: mul(a, one) != a),
         ("additive-inverse", "a", lambda a: add(a, neg(a)) != zero),
@@ -311,7 +314,7 @@ def _laws(dom: Domain, carrier: Optional[list]) -> list:
         ("order-acyclic", "", cycle)
         if carrier is not None
         else ("order-acyclic", "a b", lambda a, b: less(a, b) and less(b, a)),
-        ("zero-least", "a", lambda a: not is_zero(a) and not less(zero, a)),
+        ("zero-least", "a", lambda a: a and not less(zero, a)),
         ("reduction-decreases", "a c", decreases),
         (
             "mntcr-finite",

@@ -10,22 +10,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Sequence
 
 from .core import Domain
 from .poly import Monomial, Polynomial, PolyRing, mono_mul, pp_divides, pp_lcm, pp_quotient
-
-
-@dataclass(frozen=True)
-class OracleVerdict:
-    subject: str
-    expected: Any
-    actual: Any
-
-    @property
-    def passed(self) -> bool:
-        return self.expected == self.actual
 
 
 def gcd_membership_oracle(generators: Sequence[int], probe: int) -> bool:

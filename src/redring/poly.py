@@ -133,9 +133,9 @@ class Monomial(NamedTuple):
 class Polynomial:
     """An immutable polynomial: monomials strictly descending in the ring's order.
 
-    The slot ``_ann`` caches ``PolyRing._cached_ann_family(self)``.  It is
-    set on first use, never in ``__init__``, and plays no part in equality
-    or hashing.
+    A polynomial is falsy exactly when it is zero.  The slot ``_ann``
+    caches ``PolyRing._ann_family(self)``.  It is set on first use, never
+    in ``__init__``, and plays no part in equality or hashing.
     """
 
     __slots__ = ("ring", "terms", "_ann")
@@ -143,6 +143,9 @@ class Polynomial:
     def __init__(self, ring: "PolyRing", terms: tuple) -> None:
         self.ring = ring
         self.terms = terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     @property
     def is_zero(self) -> bool:
@@ -158,13 +161,6 @@ class Polynomial:
 
     def leading_coeff(self):
         return self.leading_monomial().coeff
-
-    def coefficient_at(self, pp: Pp):
-        """The coefficient of pp, the coefficient-domain zero when absent."""
-        for mono in self.terms:
-            if mono.pp == pp:
-                return mono.coeff
-        return self.ring.coeff.zero
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return self.ring.add(self, other)
@@ -256,11 +252,7 @@ class PolyRing(Domain):
                 acc[pp] = self.coeff.add(acc[pp], c)
             else:
                 acc[pp] = c
-        terms = [
-            Monomial(c, pp)
-            for pp, c in acc.items()
-            if not self.coeff.is_zero(c)
-        ]
+        terms = [Monomial(c, pp) for pp, c in acc.items() if c]
         rank = self.order.rank
         terms.sort(key=lambda m: rank(m.pp), reverse=not self.order.descending)
         return Polynomial(self, tuple(terms))
@@ -293,7 +285,7 @@ class PolyRing(Domain):
 
     def _term(self, c, pp: Pp) -> Polynomial:
         """c*x^pp from a valid power product; zero when c is."""
-        if self.coeff.is_zero(c):
+        if not c:
             return self.zero
         return Polynomial(self, (_new_tuple(Monomial, (c, pp)),))
 
@@ -308,7 +300,7 @@ class PolyRing(Domain):
             if not subtract:
                 return t
             return tuple(_new_tuple(Monomial, (neg(m.coeff), m.pp)) for m in t)
-        add, is_zero = coeff.add, coeff.is_zero
+        add = coeff.add
         rank, descending = self.order.rank, self.order.descending
         out = []
         append = out.append
@@ -319,7 +311,7 @@ class PolyRing(Domain):
         while True:
             if ms.pp == mt.pp:
                 c = add(ms.coeff, neg(mt.coeff) if subtract else mt.coeff)
-                if not is_zero(c):
+                if c:
                     append(_new_tuple(Monomial, (c, ms.pp)))
                 i += 1
                 j += 1
@@ -352,12 +344,11 @@ class PolyRing(Domain):
 
     def _scale(self, c, pp: Pp, terms: tuple) -> tuple:
         """c*x^pp times a term tuple, still descending; vanishing products drop."""
-        coeff = self.coeff
-        mul, is_zero = coeff.mul, coeff.is_zero
+        mul = self.coeff.mul
         out = []
         for m in terms:
             d = mul(c, m.coeff)
-            if not is_zero(d):
+            if d:
                 out.append(_new_tuple(Monomial, (d, tuple(map(_add_exps, pp, m.pp)))))
         return tuple(out)
 
@@ -387,9 +378,6 @@ class PolyRing(Domain):
         self._require_same(a, b)
         return Polynomial(self, self._times(a.terms, b.terms))
 
-    def is_zero(self, a: Polynomial) -> bool:
-        return a.is_zero
-
     def less(self, p: Polynomial, q: Polynomial) -> bool:
         rank, descending = self.order.rank, self.order.descending
         for mp, mq in zip(p.terms, q.terms):
@@ -399,72 +387,68 @@ class PolyRing(Domain):
                 return self.coeff.less(mp.coeff, mq.coeff)
         return len(p.terms) < len(q.terms)
 
-    def _cached_ann_family(self, g: Polynomial) -> tuple:
-        """``_ann_family(g)`` as a tuple, built once per polynomial object."""
-        try:
-            return g._ann
-        except AttributeError:
-            family = g._ann = tuple(self._ann_family(g))
-            return family
-
-    def _ann_family(self, g: Polynomial) -> list:
+    def _ann_family(self, g: Polynomial) -> tuple:
         """(scalar, scalar*g) pairs whose leads were annihilated in cascade.
 
         Each step kills at least the current leading term, so the supports
-        strictly shrink and the family is finite.
+        strictly shrink and the family is finite.  It is built once per
+        polynomial object and cached in ``g._ann``.
         """
+        try:
+            return g._ann
+        except AttributeError:
+            pass
         family = []
         scalar = self.coeff.one
         current = g
-        while not current.is_zero:
+        while current:
             m0 = self.coeff.annihilator(current.leading_coeff())
             if m0 is None:
                 break
             scalar = self.coeff.mul(m0, scalar)
             current = mono_mul(Monomial(m0, (0,) * self.nvars), current)
-            if current.is_zero:
+            if not current:
                 break
             family.append((scalar, current))
-        return family
+        g._ann = tuple(family)
+        return g._ann
 
-    def _scan(self, f: Polynomial, g: Polynomial, index) -> Optional[Polynomial]:
-        """The multiplier for the greatest term of f that g reduces at index."""
+    def _scan(self, f: Polynomial, g: Polynomial, index) -> Optional[tuple]:
+        """The multiplier for the greatest term of f that g reduces at index,
+        as a (coefficient, power product) pair."""
         g_lc, g_pp = g.terms[0]
         find = self.coeff.find_multiplier
         for c, pp in f.terms:
             if all(map(_le, g_pp, pp)):
                 m = find(c, g_lc, index)
                 if m is not None:
-                    return self._term(m, tuple(map(_sub_exps, pp, g_pp)))
+                    return m, tuple(map(_sub_exps, pp, g_pp))
         return None
 
     def find_multiplier(self, f: Polynomial, g: Polynomial, index) -> Optional[Polynomial]:
         if not f.terms or not g.terms:
             return None
-        if index == "ann":
-            for scalar, shadow in self._cached_ann_family(g):
-                for cindex in self.coeff.multiplier_indices:
-                    m = self._scan(f, shadow, cindex)
-                    if m is not None:
-                        head = m.leading_monomial()
-                        return self._term(self.coeff.mul(head.coeff, scalar), head.pp)
-            return None
-        return self._scan(f, g, index)
-
-    def _effective(self, g: Polynomial, index) -> list:
-        """The polynomials a reduction at this index actually rewrites with."""
-        if index == "ann":
-            return [shadow for _scalar, shadow in self._cached_ann_family(g)]
-        return [g]
+        if index != "ann":
+            hit = self._scan(f, g, index)
+            return hit and self._term(*hit)
+        for scalar, shadow in self._ann_family(g):
+            for cindex in self.coeff.multiplier_indices:
+                hit = self._scan(f, shadow, cindex)
+                if hit:
+                    return self._term(self.coeff.mul(hit[0], scalar), hit[1])
+        return None
 
     def mntcrs(self, g1: Polynomial, i1, g2: Polynomial, i2) -> list:
-        if g1.is_zero or g2.is_zero:
+        if not (g1 and g2):
             return []
         ci1 = i1 if i1 != "ann" else self.coeff.multiplier_indices[0]
         ci2 = i2 if i2 != "ann" else self.coeff.multiplier_indices[0]
+        # a reduction at "ann" rewrites with the shadows of the ann family
+        shadows1 = [s for _, s in self._ann_family(g1)] if i1 == "ann" else [g1]
+        shadows2 = [s for _, s in self._ann_family(g2)] if i2 == "ann" else [g2]
         out = []
-        for e1 in self._effective(g1, i1):
-            for e2 in self._effective(g2, i2):
+        for e1 in shadows1:
+            for e2 in shadows2:
                 lcm = pp_lcm(e1.leading_pp(), e2.leading_pp())
                 reps = self.coeff.mntcrs(e1.leading_coeff(), ci1, e2.leading_coeff(), ci2)
                 for c in reps:

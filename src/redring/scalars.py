@@ -34,20 +34,20 @@ class RationalFieldDomain(Domain):
         return a * b
 
     def less(self, a, b) -> bool:
-        return a == 0 and b != 0
+        return not a and bool(b)
 
     def find_multiplier(self, a, c, index):
-        if a == 0 or c == 0:
+        if not (a and c):
             return None
         return a / c
 
     def mntcrs(self, c1, i1, c2, i2) -> list:
-        if c1 == 0 or c2 == 0:
+        if not (c1 and c2):
             return []
         return [self.one]
 
     def canonical_associate(self, a):
-        return self.one if a != 0 else a
+        return self.one if a else a
 
     def parse(self, text: str) -> Fraction:
         try:
@@ -77,7 +77,8 @@ class IntegerDomain(Domain):
 
     The order compares magnitudes with the negative element winning ties, so
     it is total and well-founded with zero least.  A multiplier witness picks
-    whichever of the two nearest quotients takes a strictly down; the
+    the one of the two nearest quotients that leaves the lesser remainder,
+    when that remainder is below a; the
     canonical common reducible of two generators is the larger magnitude,
     whose critical pair performs one Euclidean division step.
     """
@@ -99,23 +100,17 @@ class IntegerDomain(Domain):
         return _int_order_key(a) < _int_order_key(b)
 
     def find_multiplier(self, a, c, index) -> Optional[int]:
-        if c == 0:
+        if not c:
             return None
-        floor_q = a // c
-        candidates = [floor_q, floor_q + 1]
-        best = None
-        for m in candidates:
-            r = a - m * c
-            if _int_order_key(r) < _int_order_key(a):
-                if best is None or _int_order_key(r) < _int_order_key(a - best * c):
-                    best = m
-        return best
+        q = a // c
+        m = min(q, q + 1, key=lambda m: _int_order_key(a - m * c))
+        return m if _int_order_key(a - m * c) < _int_order_key(a) else None
 
     def mntcrs(self, c1, i1, c2, i2) -> list:
         # max(|c1|, |c2|) reduces to zero modulo the larger generator and to
         # the division remainder modulo the smaller, so completion walks the
         # Euclidean algorithm instead of wandering through mid-range values
-        if c1 == 0 or c2 == 0:
+        if not (c1 and c2):
             return []
         return [max(abs(c1), abs(c2))]
 
@@ -177,7 +172,7 @@ class IntegerQuotientDomain(Domain):
     def find_multiplier(self, a, c, index) -> Optional[int]:
         n = self.n
         c = c % n
-        if c == 0:
+        if not c:
             return None
         d = math.gcd(c, n)
         r = a % d
@@ -187,13 +182,13 @@ class IntegerQuotientDomain(Domain):
 
     def mntcrs(self, c1, i1, c2, i2) -> list:
         c1, c2 = c1 % self.n, c2 % self.n
-        if c1 == 0 or c2 == 0:
+        if not (c1 and c2):
             return []
         return [max(math.gcd(c1, self.n), math.gcd(c2, self.n))]
 
     def annihilator(self, c) -> Optional[int]:
         c = c % self.n
-        if c == 0:
+        if not c:
             return 1 % self.n or None
         d = math.gcd(c, self.n)
         if d == 1:

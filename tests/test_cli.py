@@ -199,11 +199,12 @@ def test_parse_error_gives_the_file_column(problem, capsys):
     [
         ("ring q\n\nvars x,x\ngens:\nx\n", [], "line 3"),
         ("ring q\nvars x,y\norder foo\ngens:\nx\n", [], "line 3"),
+        ("ring q\norder foo\ngens:\n7\n", [], "line 2"),
         ("\nring zmod x\ngens:\n4\n", [], "line 2"),
         (Z_PROBLEM, ["--ring", "zmod y"], "--ring"),
         (Z_PROBLEM, ["--vars", "x,x"], "--vars"),
     ],
-    ids=["vars-line", "order-line", "ring-line", "ring-flag", "vars-flag"],
+    ids=["vars-line", "order-line", "scalar-order-line", "ring-line", "ring-flag", "vars-flag"],
 )
 def test_header_errors_name_their_line_or_flag(text, flags, where, problem, capsys):
     code, _, err = run(capsys, ["gb", problem(text), *flags])
@@ -216,6 +217,23 @@ def test_check_takes_no_chain_criterion(problem, capsys):
         main(["check", problem(Q_PROBLEM), "--is-gb", "--chain-criterion", "off"])
     assert exit_.value.code == 2
     assert "--chain-criterion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gb", "--bogus"], "unrecognized arguments: --bogus"),
+        (["check", "--is-gb", "--bogus"], "unrecognized arguments: --bogus"),
+        (["check"], "one of the arguments --axioms --is-gb is required"),
+        (["check", "--axioms", "--is-gb"], "argument --is-gb: not allowed with argument --axioms"),
+    ],
+    ids=["gb-unknown-flag", "check-unknown-flag", "check-no-mode", "check-both-modes"],
+)
+def test_command_line_errors_name_the_subcommand(argv, message, problem, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([argv[0], problem(Q_PROBLEM), *argv[1:]])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == f"redring {argv[0]}: error: {message}\n"
 
 
 def test_unknown_ring_is_parse_error(problem, capsys):

@@ -329,8 +329,14 @@ def _mutant(name, **methods):
     return type(name, (IntegerQuotientDomain,), methods)
 
 
-# One Z/nZ mutant per checked law: each overrides one method so that the
-# named law, and possibly others, fails.
+class ZeroIsN(IntegerQuotientDomain):
+    def __init__(self, n):
+        super().__init__(n)
+        self.zero = n  # congruent to 0, but truthy
+
+
+# One Z/nZ mutant per checked law: each overrides one method (or zero) so
+# that the named law, and possibly others, fails.
 _MUL_SHIFTED = _mutant("MulShifted", mul=lambda s, a, b: (a * b + 1) % s.n)
 LAW_MUTANTS = {
     "add-commutative": _mutant("AddLeans", add=lambda s, a, b: (a + 2 * b) % s.n),
@@ -338,6 +344,7 @@ LAW_MUTANTS = {
     "mul-commutative": _mutant("MulLeans", mul=lambda s, a, b: (a * b + a) % s.n),
     "mul-associative": _MUL_SHIFTED,
     "mul-distributes-over-add": _MUL_SHIFTED,
+    "zero-falsy": ZeroIsN,
     "zero-additive-identity": _mutant("AddShifted", add=lambda s, a, b: (a + b + 1) % s.n),
     "one-multiplicative-identity": _mutant("MulZero", mul=lambda s, a, b: 0),
     "additive-inverse": _mutant("NegIdentity", neg=lambda s, a: a),
@@ -356,6 +363,19 @@ LAW_MUTANTS = {
     ),
     "mntcr-common-reducible": _mutant("MntcrOne", mntcrs=lambda s, c1, i1, c2, i2: [1]),
 }
+
+
+@pytest.mark.parametrize(
+    "scalars",
+    [Q, Z, *map(make_integer_quotient_domain, (1, 24, 2**64))],
+    ids=["q", "z", "zmod1", "zmod24", "zmod2^64"],
+)
+@pytest.mark.parametrize("names", [None, ("x", "y")], ids=["scalar", "poly"])
+def test_elements_are_falsy_exactly_when_zero(scalars, names):
+    dom = make_poly_domain(scalars, names, "degrevlex") if names else scalars
+    assert not dom.zero and dom.is_zero(dom.zero)
+    for a in [dom.one, *dom.sample_elements(random.Random(7), 64)]:
+        assert bool(a) == (a != dom.zero) == (not dom.is_zero(a))
 
 
 @pytest.mark.parametrize("mode, n", [("exhaustive", 12), ("sampled", 1000)])

@@ -6,7 +6,6 @@ import pytest
 from redring.buchberger import gb, member_ideal
 from redring.core import normal_form
 from redring.oracles import (
-    OracleVerdict,
     classical_buchberger_oracle,
     classical_normal_form,
     exhaustive_ideal_oracle,
@@ -22,11 +21,6 @@ from redring.scalars import (
 
 Q = make_field_domain()
 Z = make_integer_domain()
-
-
-def test_verdict_pass_flag():
-    assert OracleVerdict("s", 1, 1).passed
-    assert not OracleVerdict("s", 1, 2).passed
 
 
 def test_gcd_membership():
