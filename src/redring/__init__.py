@@ -11,8 +11,6 @@ from .buchberger import (
     CofactorRow,
     GBResult,
     GBTrace,
-    chain_criterion_skip,
-    critical_pair,
     gb,
     ideal_congruence_holds,
     is_groebner_basis,
@@ -24,9 +22,7 @@ from .core import (
     ContractViolationError,
     Domain,
     NonTerminationError,
-    ReductionCertificate,
     check_axioms,
-    is_reducible,
     normal_form,
     project_reduction_relation,
     reduce_step,
@@ -78,12 +74,9 @@ __all__ = [
     "Polynomial",
     "PolyRing",
     "RationalFieldDomain",
-    "ReductionCertificate",
     "TermOrder",
-    "chain_criterion_skip",
     "check_axioms",
     "connectible_below",
-    "critical_pair",
     "equivalent",
     "gb",
     "generalized_newman_holds",
@@ -91,7 +84,6 @@ __all__ = [
     "is_church_rosser",
     "is_groebner_basis",
     "is_locally_confluent",
-    "is_reducible",
     "make_field_domain",
     "make_integer_domain",
     "make_integer_quotient_domain",

@@ -153,7 +153,7 @@ def gb(
     front.  ``chain_criterion`` switches the chain criterion alone; the
     other skips of ``critical_pairs`` always apply.
     """
-    kept = [(k, g) for k, g in enumerate(generators) if not dom.is_zero(g)]
+    kept = [(k, g) for k, g in enumerate(generators) if g]
     basis = [g for _, g in kept]
     # cofactor rows over original generator positions, one per basis element
     basis_rows: list = [{orig: dom.one} for orig, _ in kept]
@@ -176,28 +176,28 @@ def gb(
             m1, a1, m2, a2 = sides
             trace.critical_pairs_reduced += 1
             trace.emit(f"critical {dom.render(a1)} | {dom.render(a2)}")
-            nf1, certs1 = normal_form(dom, a1, basis, max_steps)
-            nf2, certs2 = normal_form(dom, a2, basis, max_steps)
-            steps = f"steps {len(certs1)} {len(certs2)}"
+            nf1, steps1 = normal_form(dom, a1, basis, max_steps)
+            nf2, steps2 = normal_form(dom, a2, basis, max_steps)
+            steps = f"steps {len(steps1)} {len(steps2)}"
             trace.emit(f"reduced {dom.render(nf1)} | {dom.render(nf2)} {steps}")
             h = dom.sub(nf1, nf2)
-            if dom.is_zero(h):
+            if not h:
                 trace.emit("h zero")
                 continue
-            # h = -m1*basis[i] + m2*basis[j] - sum(certs1) + sum(certs2),
+            # h = -m1*basis[i] + m2*basis[j] - sum(steps1) + sum(steps2),
             # the z contributions cancel exactly
             acc: dict = {}
             _add_into(dom, acc, i, dom.neg(m1))
             _add_into(dom, acc, j, m2)
-            for cert in certs1:
-                _add_into(dom, acc, cert.reducer_pos, dom.neg(cert.multiplier))
-            for cert in certs2:
-                _add_into(dom, acc, cert.reducer_pos, cert.multiplier)
+            for pos, m in steps1:
+                _add_into(dom, acc, pos, dom.neg(m))
+            for pos, m in steps2:
+                _add_into(dom, acc, pos, m)
             row: dict = {}
             for pos, mult in acc.items():
                 for orig, base_mult in basis_rows[pos].items():
                     _add_into(dom, row, orig, dom.mul(mult, base_mult))
-            row = {orig: v for orig, v in sorted(row.items()) if not dom.is_zero(v)}
+            row = {orig: v for orig, v in sorted(row.items()) if v}
             new = len(basis)  # the walk reaches (k, new) for every k <= new
             basis.append(h)
             basis_rows.append(row)
@@ -213,7 +213,7 @@ def gb(
 def is_groebner_basis(dom: Domain, basis: Sequence, *, max_steps: int = DEFAULT_STEP_BOUND) -> bool:
     """The finite criterion: every critical pair that ``critical_pairs`` does not skip joins."""
     G = list(basis)
-    if any(dom.is_zero(g) for g in G):
+    if not all(G):
         raise ValueError("basis must be zero-free")
     for i, j in index_pairs(G):
         for _z, _i1, _i2, skip, sides in critical_pairs(dom, G, i, j, True):
@@ -222,7 +222,7 @@ def is_groebner_basis(dom: Domain, basis: Sequence, *, max_steps: int = DEFAULT_
             _m1, a1, _m2, a2 = sides
             nf1, _ = normal_form(dom, a1, G, max_steps)
             nf2, _ = normal_form(dom, a2, G, max_steps)
-            if not dom.is_zero(dom.sub(nf1, nf2)):
+            if dom.sub(nf1, nf2):
                 return False
     return True
 
@@ -243,7 +243,7 @@ def member_ideal(
     if check and not is_groebner_basis(dom, basis, max_steps=max_steps):
         raise ValueError("basis is not a Groebner basis")
     h, _ = normal_form(dom, a, basis, max_steps)
-    return dom.is_zero(h)
+    return not h
 
 
 def ideal_congruence_holds(dom: Domain, a, b, basis: Sequence) -> bool:
@@ -253,7 +253,7 @@ def ideal_congruence_holds(dom: Domain, a, b, basis: Sequence) -> bool:
     reduces exactly the elements of its ideal to zero.
     """
     diff = dom.sub(a, b)
-    return dom.is_zero(diff) or member_ideal(dom, diff, gb(dom, basis).basis)
+    return not diff or member_ideal(dom, diff, gb(dom, basis).basis)
 
 
 def verify_cofactors(dom: Domain, rows: Sequence, original: Sequence) -> bool:

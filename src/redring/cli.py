@@ -217,7 +217,7 @@ def _cmd_member(args) -> int:
     verdicts = []
     for probe in probes:
         h, _ = normal_form(dom, probe, basis, args.max_steps)
-        verdicts.append((probe, dom.is_zero(h), h))
+        verdicts.append((probe, not h, h))
     if args.json:
         rendered = [
             {"probe": dom.render(p), "member": m, "normal_form": dom.render(h)}
@@ -240,7 +240,7 @@ def _cmd_check(args) -> int:
         else:
             print("YES" if verdict else "NO")
         return 0 if verdict else 1
-    report = check_axioms(dom, sample_budget=args.samples)
+    report = check_axioms(dom, sample_budget=args.samples or 2000)
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
@@ -256,14 +256,17 @@ def _read(path: str) -> str:
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line on one stderr line, exit status 2.
 
-    An unrecognized argument is reported by the parser of the (sub)command
-    it follows, so every error names the subcommand it concerns.
+    An unrecognized argument, or ``check --samples`` outside the axiom
+    mode, is reported by the parser of the (sub)command it follows, so
+    every error names the subcommand it concerns.
     """
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
+        if getattr(namespace, "is_gb", False) and namespace.samples is not None:
+            self.error("argument --samples: not allowed with argument --is-gb")
         return namespace, extras
 
     def error(self, message):
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--is-gb", action="store_true", help="test the generators with the finite criterion"
     )
     check_cmd.add_argument(
-        "--samples", type=positive, default=2000, help="sample budget for axiom checks"
+        "--samples", type=positive, help="sample budget for --axioms (default 2000)"
     )
     check_cmd.set_defaults(handler=_cmd_check)
     return parser

@@ -44,6 +44,8 @@ class Domain:
       index can take a below itself;
     * ``mntcrs(c1, i1, c2, i2)``, a finite list of canonical representatives,
       one per equivalence class of minimal non-trivial common reducibles;
+      each is reducible by c1 at index i1 and by c2 at index i2 (the checked
+      law "mntcr-common-reducible");
     * ``render`` / ``parse`` for the element syntax, and ``sample_elements``
       for randomized law checking.
 
@@ -124,40 +126,18 @@ class Domain:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
-    """One reduction step: after = before - multiplier * reducer, after < before."""
-
-    reducer: Any
-    reducer_pos: int
-    index: Any
-    multiplier: Any
-    before: Any
-    after: Any
-
-
 def reduce_step(dom: Domain, a, basis: Sequence) -> Optional[tuple]:
     """One reduction step of a modulo the basis, or None if a is irreducible.
 
+    Returns (b, pos, m) with b = a - m*basis[pos] strictly below a.
     Deterministic: the first (element, index) pair in declared order wins.
     """
     for pos, c in enumerate(basis):
         for index in dom.multiplier_indices:
             m = dom.find_multiplier(a, c, index)
             if m is not None:
-                b = dom.sub(a, dom.mul(m, c))
-                cert = ReductionCertificate(c, pos, index, m, a, b)
-                return b, cert
+                return dom.sub(a, dom.mul(m, c)), pos, m
     return None
-
-
-def is_reducible(dom: Domain, a, basis: Sequence) -> bool:
-    """Whether ``reduce_step`` would find a step, without taking it."""
-    return any(
-        dom.find_multiplier(a, c, index) is not None
-        for c in basis
-        for index in dom.multiplier_indices
-    )
 
 
 def normal_form(
@@ -166,15 +146,20 @@ def normal_form(
     basis: Sequence,
     max_steps: int = DEFAULT_STEP_BOUND,
 ) -> tuple:
-    """Totally reduce a modulo the basis; returns (irreducible h, certificate chain)."""
-    chain: list = []
+    """Totally reduce a modulo the basis.
+
+    Returns (h, steps): h is irreducible and each step (pos, m) of
+    ``reduce_step`` took the current element c to c - m*basis[pos], so
+    a - h is the sum of the m*basis[pos].
+    """
+    steps: list = []
     current = a
     for _ in range(max_steps):
         step = reduce_step(dom, current, basis)
         if step is None:
-            return current, chain
-        current, cert = step
-        chain.append(cert)
+            return current, steps
+        current, pos, m = step
+        steps.append((pos, m))
     raise NonTerminationError(
         f"reduction of {dom.render(a)} did not settle within {max_steps} steps"
     )
@@ -282,13 +267,13 @@ def _laws(dom: Domain, carrier: Optional[list]) -> list:
     def mntcr_lists(c1, c2):
         if not (c1 and c2):
             return []
-        return [dom.mntcrs(c1, i1, c2, i2) for i1 in indices for i2 in indices]
+        return [(i1, i2, dom.mntcrs(c1, i1, c2, i2)) for i1 in indices for i2 in indices]
 
     def not_common(c1, c2):
-        for zs in mntcr_lists(c1, c2):
+        for i1, i2, zs in mntcr_lists(c1, c2):
             for z in zs:
-                if not (is_reducible(dom, z, [c1]) and is_reducible(dom, z, [c2])):
-                    return f"z={render(z)} c1={render(c1)} c2={render(c2)}"
+                if dom.find_multiplier(z, c1, i1) is None or dom.find_multiplier(z, c2, i2) is None:
+                    return f"z={render(z)} c1={render(c1)} i1={i1} c2={render(c2)} i2={i2}"
         return None
 
     def cycle():
@@ -319,7 +304,7 @@ def _laws(dom: Domain, carrier: Optional[list]) -> list:
         (
             "mntcr-finite",
             "c1 c2",
-            lambda c1, c2: any(not isinstance(zs, (list, tuple)) for zs in mntcr_lists(c1, c2)),
+            lambda c1, c2: any(not isinstance(zs, (list, tuple)) for *_, zs in mntcr_lists(c1, c2)),
         ),
         ("mntcr-common-reducible", "c1 c2", not_common),
     ]

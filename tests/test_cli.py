@@ -226,8 +226,18 @@ def test_check_takes_no_chain_criterion(problem, capsys):
         (["check", "--is-gb", "--bogus"], "unrecognized arguments: --bogus"),
         (["check"], "one of the arguments --axioms --is-gb is required"),
         (["check", "--axioms", "--is-gb"], "argument --is-gb: not allowed with argument --axioms"),
+        (
+            ["check", "--is-gb", "--samples", "5"],
+            "argument --samples: not allowed with argument --is-gb",
+        ),
     ],
-    ids=["gb-unknown-flag", "check-unknown-flag", "check-no-mode", "check-both-modes"],
+    ids=[
+        "gb-unknown-flag",
+        "check-unknown-flag",
+        "check-no-mode",
+        "check-both-modes",
+        "check-samples-without-axioms",
+    ],
 )
 def test_command_line_errors_name_the_subcommand(argv, message, problem, capsys):
     with pytest.raises(SystemExit) as exit_:

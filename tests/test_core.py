@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from redring.buchberger import ideal_congruence_holds
+from redring.buchberger import gb, ideal_congruence_holds
 from redring.core import (
     ContractViolationError,
     NonTerminationError,
     check_axioms,
-    is_reducible,
     normal_form,
     project_reduction_relation,
     reduce_step,
@@ -51,16 +50,13 @@ def test_reduce_step_zero_is_terminal():
 
 
 def test_reduce_step_field_goes_to_zero():
-    b, cert = reduce_step(Q, Fraction(6), [Fraction(3)])
-    assert b == 0
-    assert cert.multiplier == Fraction(2)
-    assert cert.before == 6 and cert.after == 0
+    assert reduce_step(Q, Fraction(6), [Fraction(3)]) == (0, 0, Fraction(2))
 
 
 def test_reduce_step_integers_matches_enumeration():
-    b, cert = reduce_step(Z, 7, [3])
+    b, pos, m = reduce_step(Z, 7, [3])
     assert b == brute_best_reduct(7, 3) == 1
-    assert cert.multiplier == 2
+    assert (pos, m) == (0, 2)
     rng = random.Random(5)
     for _ in range(300):
         a = rng.randint(-200, 200)
@@ -77,44 +73,51 @@ def test_reduce_step_integers_matches_enumeration():
 
 
 def test_reduce_step_first_match_in_list_order():
-    b1, cert1 = reduce_step(Z, 12, [4, 6])
-    assert cert1.reducer == 4 and cert1.reducer_pos == 0
-    b2, cert2 = reduce_step(Z, 12, [6, 4])
-    assert cert2.reducer == 6 and cert2.reducer_pos == 0
+    assert reduce_step(Z, 12, [4, 6]) == (0, 0, 3)
+    assert reduce_step(Z, 12, [6, 4]) == (0, 0, 2)
 
 
 def test_normal_form_examples():
     assert brute_best_reduct(2, 7) is None
-    h, chain = normal_form(Z, 2, [7])
-    assert h == 2 and chain == []
-    h, chain = normal_form(Q, Fraction(5), [Fraction(2)])
-    assert h == 0 and len(chain) == 1
-    h, chain = normal_form(Z24, 20, [4])
+    assert normal_form(Z, 2, [7]) == (2, [])
+    assert normal_form(Q, Fraction(5), [Fraction(2)]) == (0, [(0, Fraction(5, 2))])
+    h, steps = normal_form(Z24, 20, [4])
     assert h == 0
-    assert (chain[0].multiplier * 4) % 24 == 20
+    assert [pos for pos, _ in steps] == [0]
+    assert (steps[0][1] * 4) % 24 == 20
 
 
 def test_normal_form_certificates_replay_exactly():
-    for dom, a, basis in [
+    qxy, zxy, z24xy = (make_poly_domain(c, ("x", "y"), "degrevlex") for c in (Q, Z, Z24))
+    cases = [
         (Z, 103, [7, 11]),
         (Q, Fraction(9, 2), [Fraction(3)]),
         (Z24, 22, [4, 6]),
-    ]:
+        (qxy, "x^2*y + 3*x*y^2 + y^3", ["x*y - 1", "y^2 + x"]),
+        (zxy, "7*x^2*y + 5*x*y^2 + 3*y^3", ["3*x*y + 2", "2*y^2 - x"]),
+        (z24xy, "10*x^2*y + 3*x*y + 6*y^3", ["3*y^2 + 1", "4*x + y"]),
+        (z24xy, "6*y", ["4*x + y"]),
+    ]
+    for dom, a, basis in cases:
+        if isinstance(a, str):
+            a, basis = dom.parse(a), [dom.parse(g) for g in basis]
         h, chain = normal_form(dom, a, basis)
+        # each step c -> c - m*basis[pos] strictly descends and ends at h
         current = a
-        for cert in chain:
-            assert cert.before == current
-            again = dom.sub(cert.before, dom.mul(cert.multiplier, cert.reducer))
-            assert again == cert.after
-            assert dom.less(cert.after, cert.before)
-            assert basis[cert.reducer_pos] == cert.reducer
-            current = cert.after
+        for pos, m in chain:
+            after = dom.sub(current, dom.mul(m, basis[pos]))
+            assert dom.less(after, current)
+            current = after
         assert current == h
         # a - h equals the certified combination
         acc = dom.zero
-        for cert in chain:
-            acc = dom.add(acc, dom.mul(cert.multiplier, cert.reducer))
+        for pos, m in chain:
+            acc = dom.add(acc, dom.mul(m, basis[pos]))
         assert dom.sub(a, h) == acc
+    # the last case is one "ann" step: (pos, m) carries no index, and the
+    # index-0 witness finds nothing, yet the record replays
+    assert chain == [(0, dom.constant(6))] and not h
+    assert dom.find_multiplier(a, basis[0], 0) is None
 
 
 def test_normal_form_result_is_irreducible():
@@ -123,7 +126,7 @@ def test_normal_form_result_is_irreducible():
         a = rng.randint(-500, 500)
         basis = [rng.randint(-30, 30) for _ in range(rng.randint(1, 3))]
         h, _ = normal_form(Z, a, basis)
-        assert not is_reducible(Z, h, basis)
+        assert reduce_step(Z, h, basis) is None
 
 
 def test_normal_form_determinism():
@@ -142,9 +145,9 @@ def test_normal_form_step_bound():
 
 
 def test_is_reducible_examples():
-    assert not is_reducible(Z, 0, [3])
-    assert is_reducible(Q, Fraction(1), [Fraction(7)])
-    assert not is_reducible(Z, 1, [4, 6])
+    assert reduce_step(Z, 0, [3]) is None
+    assert reduce_step(Q, Fraction(1), [Fraction(7)]) is not None
+    assert reduce_step(Z, 1, [4, 6]) is None
 
 
 def test_projection_empty_basis_has_no_steps():
@@ -363,6 +366,29 @@ LAW_MUTANTS = {
     ),
     "mntcr-common-reducible": _mutant("MntcrOne", mntcrs=lambda s, c1, i1, c2, i2: [1]),
 }
+
+
+class EmptyIndexOne(IntegerQuotientDomain):
+    """Z/nZ declaring a second multiplier index that never reduces anything."""
+
+    multiplier_indices = (0, 1)
+
+    def find_multiplier(self, a, c, index):
+        return None if index == 1 else super().find_multiplier(a, c, index)
+
+
+@pytest.mark.parametrize("mode, n", [("exhaustive", 24), ("sampled", 1000)])
+def test_mntcrs_must_be_reducible_at_their_own_indices(mode, n):
+    # every mntcr is reducible at index 0, but not at the index 1 it was asked for
+    dom = EmptyIndexOne(n)
+    report = check_axioms(dom)
+    assert report.mode == mode
+    failures = {c.name: c.witness for c in report.failures()}
+    assert list(failures) == ["mntcr-common-reducible"]
+    witness = failures["mntcr-common-reducible"]
+    assert " i1=" in witness and " i2=" in witness
+    with pytest.raises(ContractViolationError):
+        gb(dom, (4, 6))
 
 
 @pytest.mark.parametrize(

@@ -458,8 +458,8 @@ class TestPolyDomain:
             basis = [rng.choice(samples) for _ in range(2)]
             h, chain = normal_form(R, a, basis)
             acc = R.zero
-            for cert in chain:
-                acc = acc + cert.multiplier * cert.reducer
+            for pos, m in chain:
+                acc = acc + m * basis[pos]
             assert a - h == acc
 
     def test_descending_chains_are_bounded_on_instances(self):
