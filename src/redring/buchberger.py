@@ -211,10 +211,13 @@ def gb(
 
 
 def is_groebner_basis(dom: Domain, basis: Sequence, *, max_steps: int = DEFAULT_STEP_BOUND) -> bool:
-    """The finite criterion: every critical pair that ``critical_pairs`` does not skip joins."""
-    G = list(basis)
-    if not all(G):
-        raise ValueError("basis must be zero-free")
+    """The finite criterion: every critical pair that ``critical_pairs`` does not skip joins.
+
+    Zero elements are dropped, as ``gb`` drops zero generators: a zero
+    reduces nothing and has no mntcrs, so G is a basis exactly when its
+    nonzero part is.
+    """
+    G = [g for g in basis if g]
     for i, j in index_pairs(G):
         for _z, _i1, _i2, skip, sides in critical_pairs(dom, G, i, j, True):
             if skip:

@@ -93,6 +93,14 @@ def _scalar_domain(spec: str) -> Domain:
     raise ValueError(f"unknown ring selector {spec!r}; use q, z or zmod N")
 
 
+def _var_names(value: str, where) -> tuple:
+    """The comma-separated names of a ``vars`` line or the ``--vars`` flag, at least one."""
+    names = tuple(v.strip() for v in value.split(",") if v.strip())
+    if not names:
+        raise ProblemParseError("empty variable list", where)
+    return names
+
+
 def parse_problem_text(text: str) -> ProblemFile:
     pf = ProblemFile()
     section = "header"
@@ -115,10 +123,7 @@ def parse_problem_text(text: str) -> ProblemFile:
                     raise ProblemParseError("ring selector missing", lineno)
                 pf.ring_spec = value
             elif keyword == "vars":
-                names = tuple(v.strip() for v in value.split(",") if v.strip())
-                if not names:
-                    raise ProblemParseError("empty variable list", lineno)
-                pf.var_names = names
+                pf.var_names = _var_names(value, lineno)
             elif keyword == "order":
                 pf.order_kind = value.lower()
                 if pf.order_kind not in TermOrder.KINDS:
@@ -139,9 +144,8 @@ def parse_problem_text(text: str) -> ProblemFile:
 def _resolve(pf: ProblemFile, args) -> tuple:
     if args.ring:
         pf.ring_spec, pf.origins["ring"] = args.ring, "--ring"
-    if args.vars:
-        names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
-        pf.var_names, pf.origins["vars"] = names, "--vars"
+    if args.vars is not None:
+        pf.var_names, pf.origins["vars"] = _var_names(args.vars, "--vars"), "--vars"
     if args.order:
         pf.order_kind = args.order
     dom = pf.build_domain()

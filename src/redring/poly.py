@@ -197,7 +197,14 @@ def mono_mul(mono: Monomial, p: Polynomial) -> Polynomial:
     return Polynomial(ring, ring._scale(mono.coeff, ring._valid_pp(mono.pp), p.terms))
 
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[\^*/+\-])|(\S)")
+_BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z_^*/+\-]")
+# a sign | a coefficient p, maybe /q | a variable, maybe ^ or ** and an exponent | an operator
+_SCAN_RE = re.compile(
+    r"\s*(?:([+-])"
+    r"|(\d+)(?:\s*/\s*(\d+))?"
+    r"|([A-Za-z_][A-Za-z_0-9]*)(?:\s*(\^|\*\*)\s*(\d+)?)?"
+    r"|(\*\*|[*/^]))"
+)
 
 
 class PolyRing(Domain):
@@ -521,96 +528,59 @@ class PolyRing(Domain):
         return out
 
     def parse(self, text: str) -> Polynomial:
-        tokens = self._tokenize(text)
-        items = []
-        pos = 0
-        expect_term = True
-        sign = 1
-        while pos < len(tokens):
-            kind, value, col = tokens[pos]
-            if kind == "op" and value in "+-":
-                if not expect_term and value == "-":
-                    sign = -1
-                    expect_term = True
-                elif not expect_term:
-                    sign = 1
-                    expect_term = True
-                elif value == "-":
-                    sign = -sign
-                pos += 1
-                continue
-            coeff_val, pp, pos = self._parse_term(tokens, pos)
-            if sign < 0:
-                coeff_val = self.coeff.neg(coeff_val)
-            items.append((coeff_val, pp))
-            sign = 1
-            expect_term = False
-        if expect_term and tokens:
-            raise ValueError("dangling sign at end of polynomial")
-        if not tokens:
+        """The polynomial that text denotes; a ValueError names the first fault.
+
+        Whitespace may sit between any two tokens::
+
+            polynomial := sign* term (sign+ term)*
+            sign       := "+" | "-"
+            term       := "*"* factor ("*"* factor)* "*"*
+            factor     := digits ("/" digits)? | name (("^" | "**") digits)?
+            name       := [A-Za-z_][A-Za-z_0-9]*
+
+        Signs fold ("-" flips, "+" does nothing), factors multiply, an
+        exponent is a literal non-negative integer, and ``p`` or ``p/q`` is
+        one literal that the coefficient domain parses.
+        """
+        bad = _BAD_CHAR_RE.search(text)
+        if bad:
+            raise ValueError(f"unexpected character {bad[0]!r} at column {bad.start() + 1}")
+        if not text.strip():
             raise ValueError("empty polynomial text")
+        coeff, names = self.coeff, self.names
+        items, negative = [], False
+        exps = None  # the exponents of the term being read; None between terms
+        for m in _SCAN_RE.finditer(text):
+            sign, num, den, name, power, exp, op = m.groups()
+            if sign:
+                if exps is not None:
+                    if c is None:
+                        raise ValueError(f"expected a term at column {m.start(1) + 1}")
+                    items.append((coeff.neg(c) if negative else c, tuple(exps)))
+                    negative, exps = False, None
+                negative ^= sign == "-"
+                continue
+            if exps is None:
+                c, exps = None, [0] * self.nvars  # c stays None until a factor is read
+            if num:
+                literal = num if den is None else f"{num}/{den}"
+                c = coeff.mul(coeff.one if c is None else c, coeff.parse(literal))
+            elif name:
+                col = m.start(4) + 1
+                if name not in names:
+                    raise ValueError(f"unknown variable {name!r} at column {col}")
+                if power and not exp:
+                    raise ValueError(f"missing exponent after {name!r} at column {col}")
+                exps[names.index(name)] += int(exp) if exp else 1
+                c = coeff.one if c is None else c
+            elif op != "*":
+                raise ValueError(f"unexpected token {op!r} at column {m.start(7) + 1}")
+        if exps is None:
+            raise ValueError("dangling sign at end of polynomial")
+        if c is None:
+            raise ValueError("expected a term at column end")
+        items.append((coeff.neg(c) if negative else c, tuple(exps)))
         return self.poly(items)
-
-    def _tokenize(self, text: str) -> list:
-        tokens = []
-        for match in _TOKEN_RE.finditer(text):
-            num, name, op, bad = match.groups()
-            col = match.start() + 1
-            if bad is not None:
-                raise ValueError(f"unexpected character {bad!r} at column {col}")
-            if num is not None:
-                tokens.append(("num", num, col))
-            elif name is not None:
-                tokens.append(("name", name, col))
-            else:
-                tokens.append(("op", op, col))
-        return tokens
-
-    def _parse_term(self, tokens: list, pos: int) -> tuple:
-        coeff_val = self.coeff.one
-        exps = [0] * self.nvars
-        saw_factor = False
-        while pos < len(tokens):
-            kind, value, col = tokens[pos]
-            if kind == "op" and value == "*":
-                pos += 1
-                continue
-            if kind == "op" and value in "+-":
-                break
-            if kind == "num":
-                literal = value
-                if (
-                    pos + 2 < len(tokens)
-                    and tokens[pos + 1][:2] == ("op", "/")
-                    and tokens[pos + 2][0] == "num"
-                ):
-                    literal = f"{value}/{tokens[pos + 2][1]}"
-                    pos += 2
-                coeff_val = self.coeff.mul(coeff_val, self.coeff.parse(literal))
-                pos += 1
-                saw_factor = True
-                continue
-            if kind == "name":
-                if value not in self.names:
-                    raise ValueError(f"unknown variable {value!r} at column {col}")
-                exponent = 1
-                if pos + 1 < len(tokens) and tokens[pos + 1][:2] in (
-                    ("op", "^"),
-                    ("op", "**"),
-                ):
-                    if pos + 2 >= len(tokens) or tokens[pos + 2][0] != "num":
-                        raise ValueError(f"missing exponent after {value!r} at column {col}")
-                    exponent = int(tokens[pos + 2][1])
-                    pos += 2
-                exps[self.names.index(value)] += exponent
-                pos += 1
-                saw_factor = True
-                continue
-            raise ValueError(f"unexpected token {value!r} at column {col}")
-        if not saw_factor:
-            where = tokens[pos][2] if pos < len(tokens) else "end"
-            raise ValueError(f"expected a term at column {where}")
-        return coeff_val, tuple(exps), pos
 
     def sample_elements(self, rng: random.Random, count: int) -> list:
         out = []

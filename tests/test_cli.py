@@ -172,6 +172,9 @@ def test_check_is_gb(problem, capsys):
     assert code == 0 and out.strip() == "YES"
     code, out, _ = run(capsys, ["check", problem(Z_PROBLEM), "--is-gb"])
     assert code == 1 and out.strip() == "NO"
+    for ring in ("z", "zmod 1"):  # zero generators are dropped, as gb drops them
+        code, out, _ = run(capsys, ["check", problem(f"ring {ring}\ngens:\n0\n4\n"), "--is-gb"])
+        assert code == 0 and out.strip() == "YES"
 
 
 def test_parse_error_reports_line(problem, capsys):
@@ -203,13 +206,30 @@ def test_parse_error_gives_the_file_column(problem, capsys):
         ("\nring zmod x\ngens:\n4\n", [], "line 2"),
         (Z_PROBLEM, ["--ring", "zmod y"], "--ring"),
         (Z_PROBLEM, ["--vars", "x,x"], "--vars"),
+        (Z_PROBLEM, ["--vars", ","], "--vars"),
+        ("ring q\nvars ,\ngens:\nx\n", [], "line 2"),
     ],
-    ids=["vars-line", "order-line", "scalar-order-line", "ring-line", "ring-flag", "vars-flag"],
+    ids=[
+        "vars-line",
+        "order-line",
+        "scalar-order-line",
+        "ring-line",
+        "ring-flag",
+        "vars-flag",
+        "vars-flag-empty",
+        "vars-line-empty",
+    ],
 )
 def test_header_errors_name_their_line_or_flag(text, flags, where, problem, capsys):
     code, _, err = run(capsys, ["gb", problem(text), *flags])
     assert code == 2
     assert err.startswith(f"parse error: {where}: ")
+
+
+@pytest.mark.parametrize("value", [",", " ", ""])
+def test_empty_vars_flag_is_a_parse_error(value, problem, capsys):
+    code, _, err = run(capsys, ["gb", problem("ring q\nvars x,y\ngens:\nx*y\n"), "--vars", value])
+    assert (code, err) == (2, "parse error: --vars: empty variable list\n")
 
 
 def test_check_takes_no_chain_criterion(problem, capsys):

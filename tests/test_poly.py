@@ -479,6 +479,20 @@ class TestSyntax:
         canonical = R.parse("3*x^2*y - 1/2*y + 5")
         assert R.parse("3x**2y + 5 - 1/2 y") == canonical
         assert R.parse("5 - 1/2*y + 3*x^2*y") == canonical
+        # signs fold, whitespace may sit between any two tokens, '*' may be
+        # left out, factors multiply and p/q is one literal
+        for text, rendered in [
+            ("x - -y", "x + y"),
+            ("--x", "x"),
+            ("x -+ y", "x - y"),
+            ("3 / 4 x", "3/4*x"),
+            ("x ** 2", "x^2"),
+            ("2 3 x", "6*x"),
+            ("x x y", "x^2*y"),
+            ("x*", "x"),
+            ("+x", "x"),
+        ]:
+            assert R.render(R.parse(text)) == rendered, text
 
     def test_printer_canonical_roundtrip(self):
         rng = random.Random(67)
@@ -489,15 +503,29 @@ class TestSyntax:
 
     def test_parse_errors(self):
         R = make_poly_domain(Q, ("x", "y"), "lex")
-        with pytest.raises(ValueError):
-            R.parse("3*w")
-        with pytest.raises(ValueError):
-            R.parse("x +")
-        with pytest.raises(ValueError):
-            R.parse("")
         Rz = make_poly_domain(Z, ("x",), "lex")
-        with pytest.raises(ValueError):
-            Rz.parse("1/2*x")
+        for ring, text, message in [
+            (R, "x^", "missing exponent after 'x' at column 1"),
+            (R, "x^y", "missing exponent after 'x' at column 1"),
+            (R, "x ** * 2", "missing exponent after 'x' at column 1"),
+            (R, "2^3", "unexpected token '^' at column 2"),
+            (R, "3/x", "unexpected token '/' at column 2"),
+            (R, "12/34/56", "unexpected token '/' at column 6"),
+            (R, "x ^ 2 ^ 3", "unexpected token '^' at column 7"),
+            (R, "x + * - y", "expected a term at column 7"),
+            (R, "*", "expected a term at column end"),
+            (R, "- -", "dangling sign at end of polynomial"),
+            (R, "x +", "dangling sign at end of polynomial"),
+            (R, "", "empty polynomial text"),
+            (R, "   ", "empty polynomial text"),
+            (R, "x;y", "unexpected character ';' at column 2"),
+            (R, "3*w", "unknown variable 'w' at column 3"),
+            (R, "1/0*x", "not a rational: '1/0'"),
+            (Rz, "1/2*x", "not an integer: '1/2'"),
+        ]:
+            with pytest.raises(ValueError) as caught:
+                ring.parse(text)
+            assert str(caught.value) == message, text
 
     def test_monic_display_scaling(self):
         R = make_poly_domain(Q, ("x",), "lex")
