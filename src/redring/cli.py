@@ -142,7 +142,7 @@ def parse_problem_text(text: str) -> ProblemFile:
 
 
 def _resolve(pf: ProblemFile, args) -> tuple:
-    if args.ring:
+    if args.ring is not None:
         pf.ring_spec, pf.origins["ring"] = args.ring, "--ring"
     if args.vars is not None:
         pf.var_names, pf.origins["vars"] = _var_names(args.vars, "--vars"), "--vars"

@@ -51,7 +51,10 @@ class Domain:
 
     ``enumerate_carrier`` returns the full carrier for finite domains and
     None otherwise; ``carrier_size`` gives its length without building it
-    where the domain knows it.  ``canonical_associate`` picks the display
+    where the domain knows it.  ``normal_form(a, basis, max_steps)`` totally
+    reduces a; the default repeats ``reduce_step``, and a domain may
+    override it with a faster rule that keeps the results' meaning
+    (``core.normal_form``).  ``canonical_associate`` picks the display
     representative of an element's associates (``redring gb --monic``).
     Three optional hooks stay None where the domain has no sound, cheap
     answer: ``single_reducibility_test(z, c)``, whether c alone reduces z
@@ -106,6 +109,19 @@ class Domain:
         carrier = self.enumerate_carrier()
         return None if carrier is None else len(carrier)
 
+    def normal_form(self, a, basis: Sequence, max_steps: int) -> tuple:
+        """``core.normal_form`` by repeated ``reduce_step``: the generic rule, kept by scalars."""
+        steps: list = []
+        current = a
+        while True:
+            step = reduce_step(self, current, basis)
+            if step is None:
+                return current, steps
+            if len(steps) == max_steps:
+                raise step_cap_exceeded(self, a, max_steps)
+            current, pos, m = step
+            steps.append((pos, m))
+
     def canonical_associate(self, a):
         """The canonical display form of a's class of associates.
 
@@ -130,7 +146,11 @@ def reduce_step(dom: Domain, a, basis: Sequence) -> Optional[tuple]:
     """One reduction step of a modulo the basis, or None if a is irreducible.
 
     Returns (b, pos, m) with b = a - m*basis[pos] strictly below a.
-    Deterministic: the first (element, index) pair in declared order wins.
+    Deterministic: the first (element, index) pair in declared order whose
+    ``find_multiplier`` witness exists wins.  This is the step of the
+    generic ``Domain.normal_form``.  Polynomial rings normal-form top-down
+    instead (``PolyRing.normal_form``), so there a sequence of these steps
+    can take a different path to a different irreducible element.
     """
     for pos, c in enumerate(basis):
         for index in dom.multiplier_indices:
@@ -140,29 +160,30 @@ def reduce_step(dom: Domain, a, basis: Sequence) -> Optional[tuple]:
     return None
 
 
+def step_cap_exceeded(dom: Domain, a, max_steps: int) -> NonTerminationError:
+    """The error a normal form raises when a needs more than ``max_steps`` steps."""
+    return NonTerminationError(
+        f"reduction of {dom.render(a)} did not settle within {max_steps} steps"
+    )
+
+
 def normal_form(
     dom: Domain,
     a,
     basis: Sequence,
     max_steps: int = DEFAULT_STEP_BOUND,
 ) -> tuple:
-    """Totally reduce a modulo the basis.
+    """Totally reduce a modulo the basis: the one entry point, ``dom.normal_form``.
 
-    Returns (h, steps): h is irreducible and each step (pos, m) of
-    ``reduce_step`` took the current element c to c - m*basis[pos], so
-    a - h is the sum of the m*basis[pos].
+    Returns (h, steps): h is irreducible (``find_multiplier`` finds no
+    witness in h for any basis element at any index) and each step
+    (pos, m) took the current element c strictly down to c - m*basis[pos],
+    so a - h is the sum of the m*basis[pos].  At most ``max_steps`` steps
+    are taken; a that needs one more raises ``NonTerminationError``.  Which
+    steps are taken is the domain's rule: the generic one of
+    ``Domain.normal_form``, or top-down on polynomial rings.
     """
-    steps: list = []
-    current = a
-    for _ in range(max_steps):
-        step = reduce_step(dom, current, basis)
-        if step is None:
-            return current, steps
-        current, pos, m = step
-        steps.append((pos, m))
-    raise NonTerminationError(
-        f"reduction of {dom.render(a)} did not settle within {max_steps} steps"
-    )
+    return dom.normal_form(a, basis, max_steps)
 
 
 def project_reduction_relation(dom: Domain, basis: Sequence, universe: Iterable) -> FiniteRelation:

@@ -28,9 +28,9 @@ from __future__ import annotations
 import random
 import re
 from operator import add as _add_exps, le as _le, sub as _sub_exps
-from typing import Any, Iterable, NamedTuple, Optional
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
-from .core import Domain
+from .core import Domain, step_cap_exceeded
 
 Pp = tuple
 
@@ -133,12 +133,13 @@ class Monomial(NamedTuple):
 class Polynomial:
     """An immutable polynomial: monomials strictly descending in the ring's order.
 
-    A polynomial is falsy exactly when it is zero.  The slot ``_ann``
-    caches ``PolyRing._ann_family(self)``.  It is set on first use, never
-    in ``__init__``, and plays no part in equality or hashing.
+    A polynomial is falsy exactly when it is zero.  The slots ``_ann`` and
+    ``_rows`` cache ``PolyRing._ann_family(self)`` and
+    ``PolyRing._reducers(self)``.  They are set on first use, never in
+    ``__init__``, and play no part in equality or hashing.
     """
 
-    __slots__ = ("ring", "terms", "_ann")
+    __slots__ = ("ring", "terms", "_ann", "_rows")
 
     def __init__(self, ring: "PolyRing", terms: tuple) -> None:
         self.ring = ring
@@ -224,7 +225,8 @@ class PolyRing(Domain):
     through the nonzero scalar multiples of g with successively annihilated
     leads.  The ring lists that index only where the coefficient domain
     provides the ``annihilator`` hook (Z/nZ); without zero divisors it would
-    always be empty.
+    always be empty.  ``_reducers`` is the one encoding of what g rewrites
+    with at each index.  The normal form works top-down (``normal_form``).
     """
 
     def __init__(self, coeff: Domain, names: Iterable[str], order: TermOrder) -> None:
@@ -420,12 +422,37 @@ class PolyRing(Domain):
         g._ann = tuple(family)
         return g._ann
 
-    def _scan(self, f: Polynomial, g: Polynomial, index) -> Optional[tuple]:
-        """The multiplier for the greatest term of f that g reduces at index,
-        as a (coefficient, power product) pair."""
-        g_lc, g_pp = g.terms[0]
+    def _reducers(self, g: Polynomial) -> tuple:
+        """Every rewrite g offers, as (index, coefficient index, scalar, lead
+        coefficient, lead power product, terms) rows.
+
+        At an ordinary index the one row rewrites with g itself, and its
+        scalar is None.  At "ann" there is a row for each shadow scalar*g of
+        the ann family crossed with each coefficient index.  The rows come
+        in the order ``find_multiplier`` and ``normal_form`` both try them,
+        and are built once per polynomial object and cached in ``g._rows``.
+        """
+        try:
+            return g._rows
+        except AttributeError:
+            pass
+        rows = []
+        for index in self.multiplier_indices:
+            if index != "ann":
+                rows.append((index, index, None, *g.terms[0], g.terms))
+                continue
+            for scalar, shadow in self._ann_family(g):
+                for cindex in self.coeff.multiplier_indices:
+                    rows.append((index, cindex, scalar, *shadow.terms[0], shadow.terms))
+        g._rows = tuple(rows)
+        return g._rows
+
+    def _scan(self, f: tuple, g_lc, g_pp: Pp, index) -> Optional[tuple]:
+        """The multiplier for the greatest term of the term tuple f that a
+        lead g_lc*x^g_pp reduces at index, as a (coefficient, power product)
+        pair."""
         find = self.coeff.find_multiplier
-        for c, pp in f.terms:
+        for c, pp in f:
             if all(map(_le, g_pp, pp)):
                 m = find(c, g_lc, index)
                 if m is not None:
@@ -435,15 +462,59 @@ class PolyRing(Domain):
     def find_multiplier(self, f: Polynomial, g: Polynomial, index) -> Optional[Polynomial]:
         if not f.terms or not g.terms:
             return None
-        if index != "ann":
-            hit = self._scan(f, g, index)
-            return hit and self._term(*hit)
-        for scalar, shadow in self._ann_family(g):
-            for cindex in self.coeff.multiplier_indices:
-                hit = self._scan(f, shadow, cindex)
-                if hit:
-                    return self._term(self.coeff.mul(hit[0], scalar), hit[1])
+        for i, cindex, scalar, lc, lpp, _terms in self._reducers(g):
+            hit = self._scan(f.terms, lc, lpp, cindex) if i == index else None
+            if hit:
+                mc, q = hit
+                return self._term(mc if scalar is None else self.coeff.mul(mc, scalar), q)
         return None
+
+    def normal_form(self, a: Polynomial, basis: Sequence, max_steps: int) -> tuple:
+        """Totally reduce a modulo the basis, top-down.
+
+        The terms are walked from the top.  The current term is rewritten
+        by the first (element, index) pair in declared order, and at "ann"
+        the first shadow and coefficient index (``_reducers``), that
+        reduces it: one ``_scale`` and one ``_merge`` turn the unsettled
+        part r into r + (-mc)*x^q*g', where g' is g or, at "ann", the
+        shadow scalar*g, and the step is recorded as (pos, mc*x^q) or
+        (pos, mc*scalar*x^q), a multiplier of basis[pos] itself.  A term
+        that no pair reduces is settled and never probed again.  Over Z and
+        Z/nZ the rewritten term may stay at the same power product (a
+        Euclidean remainder, a smaller residue); it is then probed again.
+        ``max_steps`` steps are allowed.
+
+        Why the result means what the generic loop's result means: every
+        settled term is irreducible by every element, so the term being
+        rewritten is the greatest reducible term of the whole polynomial.
+        Each step therefore rewrites the greatest term that element reduces
+        at that index, as ``find_multiplier`` does, and strictly descends;
+        only the choice between elements, and at "ann" between shadows,
+        differs from ``reduce_step``.  Reducibility is decided term by term,
+        so the h returned is irreducible at every index: the finite
+        criterion, ``member_ideal`` and the cofactor rows keep their
+        meaning.
+        """
+        reducers = [(pos, row) for pos, g in enumerate(basis) if g for row in self._reducers(g)]
+        find, mul, neg = self.coeff.find_multiplier, self.coeff.mul, self.coeff.neg
+        steps: list = []
+        h, k = a.terms, 0  # h[:k] is settled
+        while k < len(h):
+            c, pp = h[k]
+            for pos, (_, cindex, scalar, lc, lpp, g_terms) in reducers:
+                if all(map(_le, lpp, pp)):
+                    mc = find(c, lc, cindex)
+                    if mc is not None:
+                        break
+            else:
+                k += 1
+                continue
+            if len(steps) == max_steps:
+                raise step_cap_exceeded(self, a, max_steps)
+            q = tuple(map(_sub_exps, pp, lpp))
+            steps.append((pos, self._term(mc if scalar is None else mul(mc, scalar), q)))
+            h = h[:k] + self._merge(h[k:], self._scale(neg(mc), q, g_terms), False)
+        return Polynomial(self, h), steps
 
     def mntcrs(self, g1: Polynomial, i1, g2: Polynomial, i2) -> list:
         if not (g1 and g2):

@@ -282,8 +282,11 @@ def test_state_invariants_hold_at_exit():
 # The digests were re-pinned when completion began to skip the pairs the
 # checker skips (equal sides, the product criterion); that changed the
 # katsura3 and cyclic4 bases and left the z24, z360 (Z/360Z[x,y]) and zxyz
-# (Z[x,y,z]) bases as they were.  A faster path must leave every step, and
-# so every byte, unchanged.
+# (Z[x,y,z]) bases as they were.  They were re-pinned again when polynomial
+# normal forms became top-down: the step counts of the katsura3, z360 and
+# zxyz traces changed, and one z360 normal form settled in 5*y instead of y,
+# so its element 7 is the old one plus 356*y, its element 9.  A faster path
+# that takes the same steps must leave every byte unchanged.
 GOLDEN = {
     "katsura3": (
         Q,
@@ -294,7 +297,7 @@ GOLDEN = {
             "2*a*b + 2*b*c + 2*c*d - b",
             "2*a*c + b^2 + 2*b*d - c",
         ),
-        "0f13d1dac078a9724960aced05d2bbcf9b9c6fbc29833dd734cdc56bfe6d679a",
+        "a6e50cc354f75b55a046b849d08787c86dc36bd088158fad8ec18b0f26ff5ed2",
         (
             "a + 2*b + 2*c + 2*d - 1",
             "a^2 + 2*b^2 + 2*c^2 + 2*d^2 - a",
@@ -344,7 +347,7 @@ GOLDEN = {
         make_integer_quotient_domain(360),
         "xy",
         ("12*x^2*y + 30*x + 7", "45*x*y^2 + 8*y"),
-        "376b09d92abf87b0a1c4c2a44e99776abf25de25c206b4264e35b0df6ef8dee3",
+        "3b66eee87a2a0aa6f0636ddd2de6b936e040c59b5acca95ff90a52d4a1a4af8c",
         (
             "12*x^2*y + 30*x + 7",
             "45*x*y^2 + 8*y",
@@ -353,7 +356,7 @@ GOLDEN = {
             "x^2*y^2 + 356*x*y + 355*y + 50",
             "356*x^2*y + 28",
             "6*y^2 + 356*y",
-            "359*x*y^2 + 359*y + 310",
+            "359*x*y^2 + 355*y + 310",
             "356*x*y + 6*y",
             "356*y",
             "357*y + 310",
@@ -364,7 +367,7 @@ GOLDEN = {
         Z,
         "xyz",
         ("3*x^2 + 2*y", "5*x*y - z", "4*y*z + x"),
-        "110416d117279db8e62f887a7d9dbb5d3b252eccd97f083bca4915e4f7503c22",
+        "fcaf2069e15f539c3c0ae7bc2c198c9d7ba748e9eb5a25761a3cbfcf7f534f8e",
         (
             "3*x^2 + 2*y",
             "5*x*y - z",

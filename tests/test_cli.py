@@ -205,6 +205,7 @@ def test_parse_error_gives_the_file_column(problem, capsys):
         ("ring q\norder foo\ngens:\n7\n", [], "line 2"),
         ("\nring zmod x\ngens:\n4\n", [], "line 2"),
         (Z_PROBLEM, ["--ring", "zmod y"], "--ring"),
+        (Z_PROBLEM, ["--ring", ""], "--ring"),
         (Z_PROBLEM, ["--vars", "x,x"], "--vars"),
         (Z_PROBLEM, ["--vars", ","], "--vars"),
         ("ring q\nvars ,\ngens:\nx\n", [], "line 2"),
@@ -215,6 +216,7 @@ def test_parse_error_gives_the_file_column(problem, capsys):
         "scalar-order-line",
         "ring-line",
         "ring-flag",
+        "ring-flag-empty",
         "vars-flag",
         "vars-flag-empty",
         "vars-line-empty",

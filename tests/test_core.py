@@ -144,6 +144,26 @@ def test_normal_form_step_bound():
         normal_form(Broken(6), 3, [2], max_steps=50)
 
 
+@pytest.mark.parametrize("ring", ["z", "q[x,y]", "zmod24[x,y]"])
+def test_step_cap_allows_exactly_max_steps(ring):
+    if ring == "z":
+        dom, a, basis = Z, 103, [11, 7]
+    else:
+        coeff = Q if ring.startswith("q") else Z24
+        dom = make_poly_domain(coeff, ("x", "y"), "degrevlex")
+        a = dom.parse("x^2*y + 3*x*y^2 + 10*y^3 + 6*y")
+        basis = [dom.parse("x*y - 1"), dom.parse("4*y^2 + x")]
+    h, steps = normal_form(dom, a, basis)
+    n = len(steps)
+    assert n >= 2
+    assert normal_form(dom, a, basis, max_steps=n) == (h, steps)
+    with pytest.raises(NonTerminationError, match=f"within {n - 1} steps"):
+        normal_form(dom, a, basis, max_steps=n - 1)
+    assert normal_form(dom, h, basis, max_steps=0) == (h, [])
+    # one step settles 5 modulo 2 over Q
+    assert normal_form(Q, Fraction(5), [Fraction(2)], max_steps=1) == (0, [(0, Fraction(5, 2))])
+
+
 def test_is_reducible_examples():
     assert reduce_step(Z, 0, [3]) is None
     assert reduce_step(Q, Fraction(1), [Fraction(7)]) is not None
