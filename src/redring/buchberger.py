@@ -1,33 +1,50 @@
 """Critical-pair completion: the generalized Buchberger algorithm.
 
-``gb`` and ``is_groebner_basis`` share one pair walk.  ``index_pairs``
-yields every index pair (i, j), i <= j, of a basis that may grow while it
-is walked, self-pairs included, in j-major order, so the pairs of an
-appended element follow all earlier ones.  For each pair of multiplier
-indices, ``critical_pairs`` walks the domain's canonical minimal common
-reducibles (mntcrs) z and alone decides which need reduction.  It skips,
-in this order, those whose critical pair provably joins:
+``gb`` and ``is_groebner_basis`` share one pair set (``PairSet``) of
+pending index pairs (i, j), i <= j, self-pairs included.  ``PairSet.add``
+takes each element as it joins the basis: ``gb`` adds each generator and
+each element it appends, the checker the fixed basis in order.  Pending
+pairs leave the set in the order they entered.
 
-* ``equal-sides``: a self-pair at one multiplier index (not even formed);
-* ``product-criterion``: distinct elements whose leads are coprime, through
-  the optional ``coprime_leads`` hook that only field-coefficient
-  polynomials provide (Buchberger's product criterion);
-* ``chain-criterion``, where asked for: some k < i reduces z on its own.
-  In j-major order those k are exactly the ones whose side pairs {k, i}
-  and {k, j} have been walked, so the skip rests on earlier pairs alone;
-* ``equal-sides``: the two formed sides (``critical_pair``) are equal.
+Without the field-only hooks ``single_reducibility_test`` and
+``coprime_leads``, ``add`` enqueues every (k, new), k <= new, so the walk
+visits every index pair of the growing basis in j-major order.  With them
+(polynomials over a field) it is the Gebauer-Moeller update (Gebauer and
+Moeller, J. Symb. Comp. 1988; UPDATE in Becker and Weispfenning, *Groebner
+Bases*, 1993, section 5.5).  Let z(a, b) be the first mntcr of elements a and
+b at the first multiplier index, over a field a term at the lcm of their
+leads, and h the new element.  The update prunes, in this order:
 
-``gb`` totally reduces both sides of every other pair modulo the current
-basis and appends the difference h of the normal forms when it is nonzero,
-with an exact cofactor row over the original generators, all in a
-replayable trace; ``is_groebner_basis`` (the finite criterion) asks that
-each h be zero.  Skipped mntcrs are not re-checked for the mntcr contract;
-``check_axioms`` tests it.
+* ``chain-criterion``, where asked for: (k, new) when k left the set (see
+  below); when some other live element l has z(l, new) reducing
+  z(k, new) on its own and different from it (criterion M); when a live
+  l < k has z(l, new) = z(k, new) (criterion F);
+* ``product-criterion``: a surviving (k, new) whose leads are coprime
+  (Buchberger's product criterion);
+* ``chain-criterion``, where asked for: a pending (i, j) whose z(i, j) h
+  reduces on its own, with z(i, new) != z(i, j) != z(j, new) (criterion B).
+
+Where asked for, the elements whose lead h reduces then leave the set:
+their later pairs are pruned, while the pairs already pending, the basis
+and the cofactor rows keep them.  Every other pair, and the self-pair
+(new, new), is enqueued.
+
+For each pair of multiplier indices, ``critical_pairs`` walks the domain's
+canonical minimal common reducibles (mntcrs) z of a pair it is given and
+forms the critical pair of each, except where its sides are equal: a
+self-pair at one multiplier index (not even formed) or two formed sides
+(``critical_pair``) that coincide.  ``gb`` totally reduces both sides of
+every other pair modulo the current basis and appends the difference h of
+the normal forms when it is nonzero, with an exact cofactor row over the
+original generators, all in a replayable trace; ``is_groebner_basis`` (the
+finite criterion) asks that each h be zero.  The mntcrs of pruned pairs are
+not re-checked for the mntcr contract; ``check_axioms`` tests it.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, NamedTuple, Sequence
 
@@ -85,50 +102,84 @@ def critical_pair(dom: Domain, z, g1, i1, g2, i2) -> tuple:
     return m1, dom.sub(z, dom.mul(m1, g1)), m2, dom.sub(z, dom.mul(m2, g2))
 
 
-def index_pairs(basis: list):
-    """Yield (i, j), i <= j, for every index pair of ``basis`` in j-major order.
+class PairSet:
+    """The pending index pairs of a basis that grows, in walk order (module docstring)."""
 
-    The list may grow during the walk; each appended element's pairs come
-    after all earlier ones.
-    """
-    j = 0
-    while j < len(basis):
-        for i in range(j + 1):
-            yield i, j
-        j += 1
+    def __init__(self, dom: Domain, basis: list, chain: bool) -> None:
+        self.dom = dom
+        self.basis = basis
+        # the field-only hooks decide between the full walk and Gebauer-Moeller
+        self.gm = callable(dom.single_reducibility_test) and callable(dom.coprime_leads)
+        self.chain = chain and self.gm
+        self.pending: deque = deque()  # (i, j, z(i, j)), z None where no rule reads it
+        self.live: list = []  # per element: whether its pairs with later elements are formed
+        self.leads: list = []  # z(k, k): the lead of element k as a mntcr
+
+    def pop(self) -> tuple:
+        i, j, _z = self.pending.popleft()
+        return i, j
+
+    def add(self, new: int) -> list:
+        """Enqueue the pairs (k, new), k <= new; return the pruned ones as (i, j, reason)."""
+        if not self.gm:
+            self.pending.extend((k, new, None) for k in range(new + 1))
+            return []
+        dom, basis, h, chain = self.dom, self.basis, self.basis[new], self.chain
+        test, idx = dom.single_reducibility_test, dom.multiplier_indices[0]
+
+        def z(k: int):  # z(k, new); z(new, new) is the lead of h
+            return dom.mntcrs(basis[k], idx, h, idx)[0]
+
+        zs = [z(k) if chain and (k == new or self.live[k]) else None for k in range(new + 1)]
+        live = [k for k in range(new) if zs[k] is not None]
+        pruned, fresh = [], []
+        for k in range(new):
+            zk = zs[k]
+            if chain and (zk is None or any(l < k if zs[l] == zk else test(zk, zs[l]) for l in live)):
+                pruned.append((k, new, "chain-criterion"))
+            elif dom.coprime_leads(basis[k], h):
+                pruned.append((k, new, "product-criterion"))
+            else:
+                fresh.append((k, new, zk))
+        if chain:
+            kept = deque()
+            for i, j, zij in self.pending:
+                if test(zij, h) and (zs[i] or z(i)) != zij != (zs[j] or z(j)):
+                    pruned.append((i, j, "chain-criterion"))
+                else:
+                    kept.append((i, j, zij))
+            self.pending = kept
+            for k in live:
+                self.live[k] = not test(self.leads[k], h)
+            self.live.append(True)
+            self.leads.append(zs[new])
+        self.pending.extend(fresh)
+        self.pending.append((new, new, zs[new]))
+        return pruned
 
 
-def critical_pairs(dom: Domain, basis: list, i: int, j: int, chain: bool):
-    """Yield (z, i1, i2, skip, sides) for each mntcr z of basis elements i and j.
+def critical_pairs(dom: Domain, basis: list, i: int, j: int):
+    """Yield (z, i1, i2, sides) for each mntcr z of basis elements i and j.
 
-    Index pairs (i1, i2) come in declared order.  Either ``skip`` names the
-    rule that skips z (module docstring; the chain criterion only where
-    ``chain`` is set), or it is None and ``sides`` is (m1, a1, m2, a2).
+    Index pairs (i1, i2) come in declared order.  ``sides`` is
+    (m1, a1, m2, a2), or None where the two sides are equal (module
+    docstring).
     """
     g1, g2 = basis[i], basis[j]
-    coprime = dom.coprime_leads
-    product = i < j and callable(coprime) and coprime(g1, g2)
     indices = dom.multiplier_indices
     walk = [(z, i1, i2) for i1 in indices for i2 in indices for z in dom.mntcrs(g1, i1, g2, i2)]
     for z, i1, i2 in walk:
         if i == j and i1 == i2:
-            yield z, i1, i2, "equal-sides", None
-        elif product:
-            yield z, i1, i2, "product-criterion", None
-        elif chain and chain_criterion_skip(dom, basis, i, z):
-            yield z, i1, i2, "chain-criterion", None
-        else:
-            sides = critical_pair(dom, z, g1, i1, g2, i2)
-            if sides[1] == sides[3]:  # a1 == a2
-                yield z, i1, i2, "equal-sides", None
-            else:
-                yield z, i1, i2, None, sides
+            yield z, i1, i2, None
+            continue
+        sides = critical_pair(dom, z, g1, i1, g2, i2)
+        yield z, i1, i2, None if sides[1] == sides[3] else sides  # a1 == a2
 
 
-def chain_criterion_skip(dom: Domain, basis: Sequence, i: int, z) -> bool:
-    """Whether some k < i reduces z on its own (module docstring); False without the hook."""
-    test = dom.single_reducibility_test
-    return callable(test) and any(test(z, g) for g in basis[:i])
+def _enqueue(pairs: PairSet, new: int, trace: GBTrace) -> None:
+    for i, j, reason in pairs.add(new):
+        trace.emit(f"prune {i} {j} {reason}")
+        trace.chain_skips += reason == "chain-criterion"
 
 
 def _add_into(dom: Domain, acc: dict, pos: int, value) -> None:
@@ -150,8 +201,8 @@ def gb(
 
     Returns the basis (input's nonzero elements as a prefix), one cofactor
     row per appended element, and the trace.  Zero generators are dropped up
-    front.  ``chain_criterion`` switches the chain criterion alone; the
-    other skips of ``critical_pairs`` always apply.
+    front.  ``chain_criterion`` switches the chain-criterion prunes of the
+    pair set (module docstring) alone; the other rules always apply.
     """
     kept = [(k, g) for k, g in enumerate(generators) if g]
     basis = [g for _, g in kept]
@@ -159,19 +210,20 @@ def gb(
     basis_rows: list = [{orig: dom.one} for orig, _ in kept]
     rows_out: list = []
     trace = GBTrace()
+    pairs = PairSet(dom, basis, chain_criterion)
     for pos, g in enumerate(basis):
         trace.emit(f"init {pos} {dom.render(g)}")
-    for i, j in index_pairs(basis):
+        _enqueue(pairs, pos, trace)
+    while pairs.pending:
+        i, j = pairs.pop()
         if trace.pairs_processed >= max_pairs:
             raise NonTerminationError(f"pair walk did not finish within {max_pairs} pairs")
         trace.pairs_processed += 1
         trace.emit(f"pair {i} {j}")
-        for z, i1, i2, skip, sides in critical_pairs(dom, basis, i, j, chain_criterion):
+        for z, i1, i2, sides in critical_pairs(dom, basis, i, j):
             trace.emit(f"mntcr {dom.render(z)} indices {i1} {i2}")
-            if skip:
-                if skip == "chain-criterion":
-                    trace.chain_skips += 1
-                trace.emit(f"skip {skip}")
+            if sides is None:
+                trace.emit("skip equal-sides")
                 continue
             m1, a1, m2, a2 = sides
             trace.critical_pairs_reduced += 1
@@ -198,12 +250,13 @@ def gb(
                 for orig, base_mult in basis_rows[pos].items():
                     _add_into(dom, row, orig, dom.mul(mult, base_mult))
             row = {orig: v for orig, v in sorted(row.items()) if v}
-            new = len(basis)  # the walk reaches (k, new) for every k <= new
+            new = len(basis)
             basis.append(h)
             basis_rows.append(row)
             rows_out.append(CofactorRow(h, row))
             trace.additions += 1
             trace.emit(f"add {new} {dom.render(h)}")
+            _enqueue(pairs, new, trace)
         trace.emit(f"done {i} {j}")
     for g in basis:
         trace.emit(f"final {dom.render(g)}")
@@ -211,16 +264,20 @@ def gb(
 
 
 def is_groebner_basis(dom: Domain, basis: Sequence, *, max_steps: int = DEFAULT_STEP_BOUND) -> bool:
-    """The finite criterion: every critical pair that ``critical_pairs`` does not skip joins.
+    """The finite criterion: every critical pair the pair set keeps joins.
 
-    Zero elements are dropped, as ``gb`` drops zero generators: a zero
-    reduces nothing and has no mntcrs, so G is a basis exactly when its
-    nonzero part is.
+    The basis enters a ``PairSet`` element by element, with every rule on,
+    and each critical pair of the pairs left is reduced.  Zero elements are
+    dropped, as ``gb`` drops zero generators: a zero reduces nothing and has
+    no mntcrs, so G is a basis exactly when its nonzero part is.
     """
     G = [g for g in basis if g]
-    for i, j in index_pairs(G):
-        for _z, _i1, _i2, skip, sides in critical_pairs(dom, G, i, j, True):
-            if skip:
+    pairs = PairSet(dom, G, True)
+    for new in range(len(G)):
+        pairs.add(new)
+    while pairs.pending:
+        for _z, _i1, _i2, sides in critical_pairs(dom, G, *pairs.pop()):
+            if sides is None:
                 continue
             _m1, a1, _m2, a2 = sides
             nf1, _ = normal_form(dom, a1, G, max_steps)

@@ -299,8 +299,8 @@ def _common_flags(sub: argparse.ArgumentParser, completes: bool = False) -> None
             "--chain-criterion",
             choices=("on", "off"),
             default="on",
-            help="chain criterion; off disables it alone (default on; it can skip pairs"
-            " only in polynomial rings over q)",
+            help="chain criterion (Gebauer-Moeller M, F and B); off disables it alone"
+            " (default on; it prunes pairs only in polynomial rings over q)",
         )
     sub.add_argument("--json", action="store_true", help="structured output")
 

@@ -526,10 +526,11 @@ class PolyRing(Domain):
         shadows2 = [s for _, s in self._ann_family(g2)] if i2 == "ann" else [g2]
         out = []
         for e1 in shadows1:
+            lc1, pp1 = e1.terms[0]
             for e2 in shadows2:
-                lcm = pp_lcm(e1.leading_pp(), e2.leading_pp())
-                reps = self.coeff.mntcrs(e1.leading_coeff(), ci1, e2.leading_coeff(), ci2)
-                for c in reps:
+                lc2, pp2 = e2.terms[0]
+                lcm = tuple(map(max, pp1, pp2))
+                for c in self.coeff.mntcrs(lc1, ci1, lc2, ci2):
                     z = self._term(c, lcm)
                     if z not in out:
                         out.append(z)

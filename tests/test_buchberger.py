@@ -5,7 +5,7 @@ import pytest
 
 from redring.buchberger import (
     CofactorRow,
-    chain_criterion_skip,
+    PairSet,
     critical_pair,
     gb,
     ideal_congruence_holds,
@@ -19,7 +19,11 @@ from redring.core import (
     normal_form,
     project_reduction_relation,
 )
-from redring.oracles import exhaustive_ideal_oracle, gcd_membership_oracle
+from redring.oracles import (
+    classical_buchberger_oracle,
+    exhaustive_ideal_oracle,
+    gcd_membership_oracle,
+)
 from redring.poly import make_poly_domain
 from redring.relations import is_church_rosser
 from redring.scalars import (
@@ -173,27 +177,52 @@ def test_verify_cofactors_empty_and_perturbed():
     assert not verify_cofactors(Z, [bad], (4, 6))
 
 
+def fed_pair_set(dom, basis):
+    """A pair set fed every element of basis, with the pruned pairs it returned."""
+    pairs = PairSet(dom, list(basis), True)
+    pruned = [p for new in range(len(basis)) for p in pairs.add(new)]
+    return pairs, pruned
+
+
+def pending_pairs(pairs):
+    return [(i, j) for i, j, _z in pairs.pending]
+
+
 def test_chain_criterion_size_two_basis_never_skips():
     R = make_poly_domain(Q, ("x", "y"), "lex")
-    basis = [R.parse("x^2"), R.parse("y^2")]
-    z = R.mntcrs(basis[0], 0, basis[1], 0)[0]
-    assert not chain_criterion_skip(R, basis, 0, z)
+    pairs, pruned = fed_pair_set(R, [R.parse("x^2"), R.parse("x*y")])
+    assert pruned == []
+    assert pending_pairs(pairs) == [(0, 0), (0, 1), (1, 1)]
 
 
 def test_chain_criterion_skip_requires_both_side_pairs():
     R = make_poly_domain(Q, ("x", "y"), "lex")
-    # at pair (1, 2) the side pairs (0, 1) and (0, 2) are walked
-    basis = [R.parse("x*y"), R.parse("x^2"), R.parse("y^2")]
-    z = R.mntcrs(basis[1], 0, basis[2], 0)[0]  # x^2*y^2, divisible by x*y
-    assert chain_criterion_skip(R, basis, 1, z)
-    # at pair (0, 1) the side pairs (0, 2) and (1, 2) of x*y are not walked yet
-    basis = [R.parse("x^2"), R.parse("y^2"), R.parse("x*y")]
-    z = R.mntcrs(basis[0], 0, basis[1], 0)[0]
-    assert not chain_criterion_skip(R, basis, 0, z)
+    # criterion M: z(1, 2) = x^2*y^2 is reduced by z(0, 2) = x*y^2, and the
+    # side pairs (0, 1) and (0, 2) stay
+    pairs, pruned = fed_pair_set(R, [R.parse("x*y"), R.parse("x^2"), R.parse("y^2")])
+    assert pruned == [(1, 2, "chain-criterion")]
+    assert {(0, 1), (0, 2)} <= set(pending_pairs(pairs))
+    # criterion B: x*y reduces z(0, 1) = x^2*y^2, which differs from both
+    # z(0, 2) = x^2*y and z(1, 2) = x*y^2; those side pairs are enqueued
+    pairs, pruned = fed_pair_set(R, [R.parse("x^2*y"), R.parse("x*y^2"), R.parse("x*y")])
+    assert pruned == [(0, 1, "chain-criterion")]
+    assert {(0, 2), (1, 2)} <= set(pending_pairs(pairs))
+    # the leads of elements 0 and 1 are multiples of x*y: their later pairs
+    # are pruned, and x*y's is kept
+    pairs.basis.append(R.parse("y^3"))
+    assert pairs.add(3) == [(0, 3, "chain-criterion"), (1, 3, "chain-criterion")]
+    assert pending_pairs(pairs)[-2:] == [(2, 3), (3, 3)]
 
 
 def test_chain_criterion_absent_without_domain_hook():
-    assert not chain_criterion_skip(Z, [2, 4, 6], 1, 12)
+    pairs, pruned = fed_pair_set(Z, [2, 4, 6])
+    assert pruned == []
+    assert pending_pairs(pairs) == [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)]
+    # the polynomials of the criterion-B case, over Z coefficients
+    R = make_poly_domain(Z, ("x", "y"), "lex")
+    pairs, pruned = fed_pair_set(R, [R.parse("x^2*y"), R.parse("x*y^2"), R.parse("x*y")])
+    assert pruned == []
+    assert pending_pairs(pairs) == [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)]
 
 
 def test_chain_criterion_never_fires_over_ring_coefficients():
@@ -203,6 +232,7 @@ def test_chain_criterion_never_fires_over_ring_coefficients():
     gens = (ring.parse("-3*x*y^2"), ring.parse("-2*x^2*y - 2*x"))
     res = gb(ring, gens, chain_criterion=True)
     assert res.trace.chain_skips == 0
+    assert not [line for line in res.trace.lines if line.startswith("prune ")]
     assert is_groebner_basis(ring, res.basis)
     assert member_ideal(ring, ring.parse("6*x*y"), res.basis)
 
@@ -285,8 +315,13 @@ def test_state_invariants_hold_at_exit():
 # (Z[x,y,z]) bases as they were.  They were re-pinned again when polynomial
 # normal forms became top-down: the step counts of the katsura3, z360 and
 # zxyz traces changed, and one z360 normal form settled in 5*y instead of y,
-# so its element 7 is the old one plus 356*y, its element 9.  A faster path
-# that takes the same steps must leave every byte unchanged.
+# so its element 7 is the old one plus 356*y, its element 9.  The katsura3
+# and cyclic4 digests were re-pinned once more when the pair set over field
+# coefficients became the Gebauer-Moeller update: pruned pairs are traced
+# once as "prune i j <reason>" instead of walked, and fewer pairs are
+# reduced; both bases stayed as they were.  Over Z and Z/nZ the pair set
+# prunes nothing, so the z24, z360 and zxyz digests did not change.  A
+# faster path that takes the same steps must leave every byte unchanged.
 GOLDEN = {
     "katsura3": (
         Q,
@@ -297,7 +332,7 @@ GOLDEN = {
             "2*a*b + 2*b*c + 2*c*d - b",
             "2*a*c + b^2 + 2*b*d - c",
         ),
-        "a6e50cc354f75b55a046b849d08787c86dc36bd088158fad8ec18b0f26ff5ed2",
+        "8c4bcfc766b62ec146768d6525b61a72a0158e2053e417a3bcb5db8941c6e0aa",
         (
             "a + 2*b + 2*c + 2*d - 1",
             "a^2 + 2*b^2 + 2*c^2 + 2*d^2 - a",
@@ -322,7 +357,7 @@ GOLDEN = {
             "a*b*c + b*c*d + c*d*a + d*a*b",
             "a*b*c*d - 1",
         ),
-        "2a4abbcbb37fdbfab8bca3d652ac3954f5e34a28ea8aa79cc8ace14cba7d3e21",
+        "e878ab80593fd0b9961df857c3cf6af9df8a712713596f84fd3c8dc9378f9d2b",
         (
             "a + b + c + d",
             "a*b + b*c + a*d + c*d",
@@ -470,6 +505,60 @@ def test_checker_agrees_with_reference(name):
     assert True in verdicts and False in verdicts
 
 
+# (coefficients, term order) of the Gebauer-Moeller differential test: Q
+# under each order, and the two-index field, whose pairs have four mntcrs
+PAIR_SET_RINGS = {
+    "q-lex": (Q, "lex"),
+    "q-deglex": (Q, "deglex"),
+    "q-degrevlex": (Q, "degrevlex"),
+    "q2-degrevlex": (TwoIndexField(), "degrevlex"),
+}
+
+
+def product_prunes_take_part_in_m_and_f(R, res) -> bool:
+    """No walked pair (k, j) is one that criterion M or F would prune for a
+    pair (l, j) the product criterion pruned: those pairs still prune others."""
+    walked, coprime = [], []
+    for line in res.trace.lines:
+        words = line.split()
+        if words[0] == "pair" and words[1] != words[2]:
+            walked.append((int(words[1]), int(words[2])))
+        elif words[-1] == "product-criterion":
+            coprime.append((int(words[1]), int(words[2])))
+
+    def z(i, j):
+        return R.mntcrs(res.basis[i], 0, res.basis[j], 0)[0]
+
+    for l, j in coprime:
+        for k, _j in (p for p in walked if p[1] == j):
+            zl, zk = z(l, j), z(k, j)
+            if l < k if zl == zk else R.single_reducibility_test(zk, zl):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SET_RINGS))
+def test_pair_set_agrees_with_classical_buchberger(name):
+    coeff, order = PAIR_SET_RINGS[name]
+    R = make_poly_domain(coeff, ("x", "y", "z"), order)
+    rng = random.Random(f"pair-set-{name}")
+    for _ in range(6):
+        gens = random_generators(rng, R, 2, 9, 3, 4)
+        shown = [R.render(g) for g in gens]
+        res = gb(R, gens)
+        oracle = classical_buchberger_oracle(gens)
+        assert all(not normal_form(R, g, oracle)[0] for g in res.basis), shown
+        assert all(not normal_form(R, g, res.basis)[0] for g in oracle), shown
+        assert verify_cofactors(R, res.rows, gens), shown
+        assert product_prunes_take_part_in_m_and_f(R, res), shown
+        basis = res.basis
+        for candidate in (basis, basis[:-1], basis[1:], tuple(gens)):
+            verdict = reference_is_groebner_basis(R, candidate)
+            assert is_groebner_basis(R, candidate) is verdict, [R.render(g) for g in candidate]
+        off = gb(R, gens, chain_criterion=False)
+        assert res.trace.critical_pairs_reduced <= off.trace.critical_pairs_reduced, shown
+
+
 @pytest.mark.parametrize("name", ["z24", "z360"])
 def test_gb_completes_single_generators(name):
     # one generator: only its self-pairs at different indices (0, "ann") can
@@ -577,7 +666,7 @@ def test_gb_applies_the_product_criterion_only_over_field_coefficients(monkeypat
     R = make_poly_domain(Q, ("x", "y"), "degrevlex")
     gens = [R.parse("x^2 + y"), R.parse("y^3")]
     res = gb(R, gens)
-    assert "skip product-criterion" in res.trace.lines
+    assert "prune 0 1 product-criterion" in res.trace.lines
     assert not [f for f in formed if f[0] is not f[2]]
     assert reference_is_groebner_basis(R, res.basis)
     # the same leads are coprime over Z/360Z, where the pair does not join
@@ -586,7 +675,7 @@ def test_gb_applies_the_product_criterion_only_over_field_coefficients(monkeypat
     gens = [R.parse("300*y^2"), R.parse("171*x")]
     res = gb(R, gens)
     assert (gens[0], 0, gens[1], 0) in formed
-    assert "skip product-criterion" not in res.trace.lines
+    assert not [line for line in res.trace.lines if line.startswith("prune ")]
     assert len(res.basis) > 2
     assert reference_is_groebner_basis(R, res.basis)
     assert verify_cofactors(R, res.rows, gens)
