@@ -68,20 +68,68 @@ class CofactorRow:
 
 
 class GBTrace:
-    """A line-oriented, deterministic log of one completion run."""
+    """A deterministic log of one completion run, kept as records, rendered when read.
 
-    def __init__(self) -> None:
-        self.lines: list = []
+    ``records`` holds one tuple ``(kind, *fields)`` per event; the fields
+    are ints, words and the domain's (immutable) elements, so completion
+    does no string work.  ``lines``, ``to_text()`` and ``digest()`` render
+    the records with the domain's ``render`` each time they are read.  The
+    kinds, their fields and their lines:
+
+    * ``("init", pos, g)``: ``init <pos> <g>``, one per nonzero generator;
+    * ``("prune", i, j, reason)``: ``prune <i> <j> <reason>``;
+    * ``("pair", i, j)`` and ``("done", i, j)``: ``pair <i> <j>`` and
+      ``done <i> <j>`` around the walk of one pair;
+    * ``("mntcr", z, i1, i2)``: ``mntcr <z> indices <i1> <i2>``;
+    * ``("skip", reason)``: ``skip <reason>``;
+    * ``("critical", a1, a2)``: ``critical <a1> | <a2>``;
+    * ``("reduced", nf1, nf2, n1, n2)``: ``reduced <nf1> | <nf2> steps <n1>
+      <n2>``, where n1 and n2 count the reduction steps of each side;
+    * ``("h",)``: ``h zero``;
+    * ``("add", pos, h)``: ``add <pos> <h>``;
+    * ``("final", g)``: ``final <g>``, one per basis element.
+    """
+
+    # kind: (line format, positions of the fields that are domain elements)
+    _FORMATS = {
+        "init": ("init {} {}", (1,)),
+        "prune": ("prune {} {} {}", ()),
+        "pair": ("pair {} {}", ()),
+        "mntcr": ("mntcr {} indices {} {}", (0,)),
+        "skip": ("skip {}", ()),
+        "critical": ("critical {} | {}", (0, 1)),
+        "reduced": ("reduced {} | {} steps {} {}", (0, 1)),
+        "h": ("h zero", ()),
+        "add": ("add {} {}", (1,)),
+        "done": ("done {} {}", ()),
+        "final": ("final {}", (0,)),
+    }
+
+    def __init__(self, dom: Domain) -> None:
+        self.dom = dom
+        self.records: list = []
         self.pairs_processed = 0
         self.critical_pairs_reduced = 0
         self.additions = 0
         self.chain_skips = 0
 
-    def emit(self, line: str) -> None:
-        self.lines.append(line)
+    def emit(self, record: tuple) -> None:
+        self.records.append(record)
+
+    def _line(self, record: tuple) -> str:
+        """The trace line of one record."""
+        kind, *fields = record
+        fmt, elements = self._FORMATS[kind]
+        for k in elements:
+            fields[k] = self.dom.render(fields[k])
+        return fmt.format(*fields)
+
+    @property
+    def lines(self) -> list:
+        return [self._line(r) for r in self.records]
 
     def to_text(self) -> str:
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
+        return "\n".join(self.lines) + ("\n" if self.records else "")
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
@@ -178,7 +226,7 @@ def critical_pairs(dom: Domain, basis: list, i: int, j: int):
 
 def _enqueue(pairs: PairSet, new: int, trace: GBTrace) -> None:
     for i, j, reason in pairs.add(new):
-        trace.emit(f"prune {i} {j} {reason}")
+        trace.emit(("prune", i, j, reason))
         trace.chain_skips += reason == "chain-criterion"
 
 
@@ -202,64 +250,70 @@ def gb(
     Returns the basis (input's nonzero elements as a prefix), one cofactor
     row per appended element, and the trace.  Zero generators are dropped up
     front.  ``chain_criterion`` switches the chain-criterion prunes of the
-    pair set (module docstring) alone; the other rules always apply.
+    pair set (module docstring) alone; the other rules always apply.  A
+    ``NonTerminationError`` (the pair cap or a reduction's step cap) or
+    ``ContractViolationError`` leaves with the trace so far as ``exc.trace``.
     """
     kept = [(k, g) for k, g in enumerate(generators) if g]
     basis = [g for _, g in kept]
     # cofactor rows over original generator positions, one per basis element
     basis_rows: list = [{orig: dom.one} for orig, _ in kept]
     rows_out: list = []
-    trace = GBTrace()
-    pairs = PairSet(dom, basis, chain_criterion)
-    for pos, g in enumerate(basis):
-        trace.emit(f"init {pos} {dom.render(g)}")
-        _enqueue(pairs, pos, trace)
-    while pairs.pending:
-        i, j = pairs.pop()
-        if trace.pairs_processed >= max_pairs:
-            raise NonTerminationError(f"pair walk did not finish within {max_pairs} pairs")
-        trace.pairs_processed += 1
-        trace.emit(f"pair {i} {j}")
-        for z, i1, i2, sides in critical_pairs(dom, basis, i, j):
-            trace.emit(f"mntcr {dom.render(z)} indices {i1} {i2}")
-            if sides is None:
-                trace.emit("skip equal-sides")
-                continue
-            m1, a1, m2, a2 = sides
-            trace.critical_pairs_reduced += 1
-            trace.emit(f"critical {dom.render(a1)} | {dom.render(a2)}")
-            nf1, steps1 = normal_form(dom, a1, basis, max_steps)
-            nf2, steps2 = normal_form(dom, a2, basis, max_steps)
-            steps = f"steps {len(steps1)} {len(steps2)}"
-            trace.emit(f"reduced {dom.render(nf1)} | {dom.render(nf2)} {steps}")
-            h = dom.sub(nf1, nf2)
-            if not h:
-                trace.emit("h zero")
-                continue
-            # h = -m1*basis[i] + m2*basis[j] - sum(steps1) + sum(steps2),
-            # the z contributions cancel exactly
-            acc: dict = {}
-            _add_into(dom, acc, i, dom.neg(m1))
-            _add_into(dom, acc, j, m2)
-            for pos, m in steps1:
-                _add_into(dom, acc, pos, dom.neg(m))
-            for pos, m in steps2:
-                _add_into(dom, acc, pos, m)
-            row: dict = {}
-            for pos, mult in acc.items():
-                for orig, base_mult in basis_rows[pos].items():
-                    _add_into(dom, row, orig, dom.mul(mult, base_mult))
-            row = {orig: v for orig, v in sorted(row.items()) if v}
-            new = len(basis)
-            basis.append(h)
-            basis_rows.append(row)
-            rows_out.append(CofactorRow(h, row))
-            trace.additions += 1
-            trace.emit(f"add {new} {dom.render(h)}")
-            _enqueue(pairs, new, trace)
-        trace.emit(f"done {i} {j}")
-    for g in basis:
-        trace.emit(f"final {dom.render(g)}")
+    trace = GBTrace(dom)
+    emit = trace.emit
+    try:
+        pairs = PairSet(dom, basis, chain_criterion)
+        for pos, g in enumerate(basis):
+            emit(("init", pos, g))
+            _enqueue(pairs, pos, trace)
+        while pairs.pending:
+            i, j = pairs.pop()
+            if trace.pairs_processed >= max_pairs:
+                raise NonTerminationError(f"pair walk did not finish within {max_pairs} pairs")
+            trace.pairs_processed += 1
+            emit(("pair", i, j))
+            for z, i1, i2, sides in critical_pairs(dom, basis, i, j):
+                emit(("mntcr", z, i1, i2))
+                if sides is None:
+                    emit(("skip", "equal-sides"))
+                    continue
+                m1, a1, m2, a2 = sides
+                trace.critical_pairs_reduced += 1
+                emit(("critical", a1, a2))
+                nf1, steps1 = normal_form(dom, a1, basis, max_steps)
+                nf2, steps2 = normal_form(dom, a2, basis, max_steps)
+                emit(("reduced", nf1, nf2, len(steps1), len(steps2)))
+                h = dom.sub(nf1, nf2)
+                if not h:
+                    emit(("h",))
+                    continue
+                # h = -m1*basis[i] + m2*basis[j] - sum(steps1) + sum(steps2),
+                # the z contributions cancel exactly
+                acc: dict = {}
+                _add_into(dom, acc, i, dom.neg(m1))
+                _add_into(dom, acc, j, m2)
+                for pos, m in steps1:
+                    _add_into(dom, acc, pos, dom.neg(m))
+                for pos, m in steps2:
+                    _add_into(dom, acc, pos, m)
+                row: dict = {}
+                for pos, mult in acc.items():
+                    for orig, base_mult in basis_rows[pos].items():
+                        _add_into(dom, row, orig, dom.mul(mult, base_mult))
+                row = {orig: v for orig, v in sorted(row.items()) if v}
+                new = len(basis)
+                basis.append(h)
+                basis_rows.append(row)
+                rows_out.append(CofactorRow(h, row))
+                trace.additions += 1
+                emit(("add", new, h))
+                _enqueue(pairs, new, trace)
+            emit(("done", i, j))
+        for g in basis:
+            emit(("final", g))
+    except (NonTerminationError, ContractViolationError) as exc:
+        exc.trace = trace  # the records up to the stop
+        raise
     return GBResult(tuple(basis), rows_out, trace)
 
 

@@ -15,13 +15,18 @@ A problem file is line-oriented UTF-8 with ``#`` comments::
 ring to polynomials; ``order`` picks lex, deglex or degrevlex (default
 degrevlex).  Exit codes: 0 ok, 1 negative verdict, 2 parse error (also an
 unreadable file or a bad flag value), 3 step cap exceeded, 4 contract
-violation (a domain broke one of its own promises).
+violation (a domain broke one of its own promises), 74 the output could
+not be written (EX_IOERR of sysexits.h, e.g. a full disk), 141 standard
+output closed by its reader (128 + SIGPIPE, as a shell reports a process
+that SIGPIPE ended).  ``gb --trace`` prints the trace so far before a 3
+or 4.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -169,7 +174,13 @@ def _cmd_gb(args) -> int:
     pf = parse_problem_text(_read(args.problem))
     dom, gens, _probes = _resolve(pf, args)
     started = time.perf_counter()
-    result = _complete(dom, gens, args)
+    try:
+        result = _complete(dom, gens, args)
+    except (NonTerminationError, ContractViolationError) as exc:
+        if args.trace and not args.json:
+            sys.stdout.write(exc.trace.to_text())
+            sys.stdout.flush()  # the trace comes before the diagnostic on stderr
+        raise
     elapsed = time.perf_counter() - started
     shown = [dom.canonical_associate(g) if args.monic else g for g in result.basis]
     if args.certify and not verify_cofactors(dom, result.rows, gens):
@@ -253,8 +264,12 @@ def _cmd_check(args) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The problem file's text; a file that cannot be read is a ProblemParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ProblemParseError(str(exc)) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -341,12 +356,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+EXIT_OUTPUT_ERROR = 74  # EX_IOERR
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
+
+
+def _discard_stdout() -> None:
+    """Point the standard output's file descriptor at the null device.
+
+    The interpreter flushes standard output at exit; once a write has
+    failed, that flush would fail again and print "Exception ignored".
+    This is the SIGPIPE recipe of the Python ``signal`` documentation.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no descriptor, e.g. a captured stream
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except (ProblemParseError, OSError, UnicodeDecodeError) as exc:
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_BROKEN_PIPE
+    except OSError as exc:  # problem files are read by _read, so this is the output
+        _discard_stdout()
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT_ERROR
+    except ProblemParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except NonTerminationError as exc:

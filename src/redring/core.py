@@ -21,11 +21,21 @@ DEFAULT_STEP_BOUND = 10**6
 
 
 class NonTerminationError(RuntimeError):
-    """A reduction loop exceeded its step bound; the order is likely not well-founded."""
+    """A reduction loop exceeded its step bound; the order is likely not well-founded.
+
+    ``trace`` is the ``GBTrace`` up to the stop when ``gb`` raised it, else None.
+    """
+
+    trace = None
 
 
 class ContractViolationError(RuntimeError):
-    """A domain broke one of its own promises, e.g. an irreducible mntcr."""
+    """A domain broke one of its own promises, e.g. an irreducible mntcr.
+
+    ``trace`` is the ``GBTrace`` up to the stop when ``gb`` raised it, else None.
+    """
+
+    trace = None
 
 
 class Domain:

@@ -436,6 +436,43 @@ def test_golden_replay(name):
     assert verify_cofactors(R, res.rows, gens)
 
 
+@pytest.mark.parametrize("cap", [{"max_pairs": 10}, {"max_steps": 1}], ids=["pairs", "steps"])
+def test_stopped_completion_keeps_its_trace(cap):
+    coeff, names, texts, _digest, _basis = GOLDEN["cyclic4"]
+    R = make_poly_domain(coeff, tuple(names), "degrevlex")
+    gens = [R.parse(t) for t in texts]
+    full = gb(R, gens).trace.to_text()
+    with pytest.raises(NonTerminationError) as stop:
+        gb(R, gens, **cap)
+    partial = stop.value.trace.to_text()
+    assert partial.startswith("init 0 ") and partial != full
+    assert full.startswith(partial)
+
+
+@pytest.mark.parametrize(
+    "coeff, names, texts",
+    [
+        (Q, "xyz", ("x*y - z", "y*z - x", "x*z - y")),
+        GOLDEN["z360"][:3],
+        GOLDEN["zxyz"][:3],
+    ],
+    ids=["q-xyz", "z360", "zxyz"],
+)
+def test_completion_renders_nothing_until_the_trace_is_read(coeff, names, texts, monkeypatch):
+    R = make_poly_domain(coeff, tuple(names), "degrevlex")
+    gens = [R.parse(t) for t in texts]
+    calls = []
+    for dom in (R, R.coeff):
+        real = dom.render
+        monkeypatch.setattr(dom, "render", lambda a, real=real: calls.append(a) or real(a))
+    trace = gb(R, gens).trace
+    assert calls == []
+    assert trace.lines == trace.lines and trace.lines
+    assert trace.to_text() == trace.to_text() == "\n".join(trace.lines) + "\n"
+    assert trace.digest() == trace.digest()
+    assert calls
+
+
 def reference_is_groebner_basis(dom, basis):
     """The finite criterion with no pair criterion: every mntcr of every pair is reduced."""
     G = list(basis)

@@ -1,8 +1,13 @@
+import errno
 import json
+import os
+import sys
 
 import pytest
 
+from redring import cli
 from redring.cli import main, parse_problem_text
+from redring.scalars import IntegerDomain
 
 Z_PROBLEM = """\
 # two integer generators
@@ -329,20 +334,73 @@ def test_step_cap_exit_code(problem, capsys):
     assert "step cap" in err
 
 
+class IrreducibleMntcr(IntegerDomain):
+    def mntcrs(self, c1, i1, c2, i2):
+        return [1]  # no multiple of 4 or 6 takes 1 below itself
+
+
 def test_contract_violation_exit_code(problem, capsys, monkeypatch):
-    from redring import cli
-    from redring.scalars import IntegerDomain
-
-    class IrreducibleMntcr(IntegerDomain):
-        def mntcrs(self, c1, i1, c2, i2):
-            return [1]  # no multiple of 4 or 6 takes 1 below itself
-
     monkeypatch.setattr(cli, "make_integer_domain", IrreducibleMntcr)
     code, out, err = run(capsys, ["gb", problem(Z_PROBLEM)])
     assert code == 4
     assert out == ""
     assert err.startswith("contract violation: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "domain, flags, code, last, diagnostic",
+    [
+        (IntegerDomain, ["--max-steps", "1"], 3, "done 0 0", "step cap exceeded: "),
+        (IrreducibleMntcr, [], 4, "pair 0 1", "contract violation: "),
+    ],
+    ids=["step-cap", "contract-violation"],
+)
+def test_stopped_gb_prints_the_trace_so_far(
+    domain, flags, code, last, diagnostic, problem, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "make_integer_domain", domain)
+    status, out, err = run(capsys, ["gb", problem(Z_PROBLEM), "--trace", *flags])
+    assert status == code
+    assert out.startswith("init 0 4\ninit 1 6\n")
+    assert out.splitlines()[-1] == last  # the one pair the cap allows, or the pair that broke
+    assert err.startswith(diagnostic)
+
+
+@pytest.mark.parametrize(
+    "error, code, diagnostic",
+    [
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), 141, ""),  # the reader has gone
+        (OSError(errno.ENOSPC, "No space left on device"), 74, "output error: "),
+    ],
+    ids=["closed-pipe", "full-disk"],
+)
+def test_failed_output_ends_with_its_own_status(
+    error, code, diagnostic, problem, capsys, monkeypatch, tmp_path
+):
+    sink = tmp_path / "stdout"
+    fd = os.open(sink, os.O_WRONLY | os.O_CREAT)
+
+    class FailingStdout:
+        def write(self, text):
+            raise error
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", FailingStdout())
+    try:
+        status = main(["gb", problem(Z_PROBLEM), "--trace"])
+        os.write(fd, b"flushed at exit")  # now goes to the null device
+    finally:
+        os.close(fd)
+    assert status == code
+    err = capsys.readouterr().err
+    assert err.startswith(diagnostic) and err.count("\n") == (1 if diagnostic else 0)
+    assert sink.read_bytes() == b""
 
 
 def test_flag_overrides(problem, capsys):
