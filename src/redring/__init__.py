@@ -36,7 +36,6 @@ from .poly import (
     mono_mul,
     pp_divides,
     pp_lcm,
-    pp_mul,
     pp_quotient,
 )
 from .relations import (
@@ -93,7 +92,6 @@ __all__ = [
     "normal_form",
     "pp_divides",
     "pp_lcm",
-    "pp_mul",
     "pp_quotient",
     "project_reduction_relation",
     "reachable",

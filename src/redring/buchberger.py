@@ -1,10 +1,10 @@
 """Critical-pair completion: the generalized Buchberger algorithm.
 
-``gb`` and ``is_groebner_basis`` share one pair set (``PairSet``) of
-pending index pairs (i, j), i <= j, self-pairs included.  ``PairSet.add``
-takes each element as it joins the basis: ``gb`` adds each generator and
-each element it appends, the checker the fixed basis in order.  Pending
-pairs leave the set in the order they entered.
+``gb`` and ``is_groebner_basis`` run one walk (``_walk``) over one pair
+set (``PairSet``) of pending index pairs (i, j), i <= j, self-pairs
+included.  ``PairSet.add`` takes each element as it joins the basis: each
+given element in order, then each element the walk appends.  Pending pairs
+leave the set in the order they entered.
 
 Without the field-only hooks ``single_reducibility_test`` and
 ``coprime_leads``, ``add`` enqueues every (k, new), k <= new, so the walk
@@ -29,21 +29,25 @@ their later pairs are pruned, while the pairs already pending, the basis
 and the cofactor rows keep them.  Every other pair, and the self-pair
 (new, new), is enqueued.
 
-For each pair of multiplier indices, ``critical_pairs`` walks the domain's
-canonical minimal common reducibles (mntcrs) z of a pair it is given and
-forms the critical pair of each, except where its sides are equal: a
-self-pair at one multiplier index (not even formed) or two formed sides
-(``critical_pair``) that coincide.  ``gb`` totally reduces both sides of
-every other pair modulo the current basis and appends the difference h of
-the normal forms when it is nonzero, with an exact cofactor row over the
-original generators, all in a replayable trace; ``is_groebner_basis`` (the
-finite criterion) asks that each h be zero.  The mntcrs of pruned pairs are
-not re-checked for the mntcr contract; ``check_axioms`` tests it.
+For each pair of multiplier indices, the walk takes the domain's canonical
+minimal common reducibles (mntcrs) z of the pair it pops and forms the
+critical pair of each (``critical_pair``), except where its sides are
+equal: a self-pair at one multiplier index (not even formed) or two formed
+sides that coincide.  It totally reduces both sides of every other pair
+modulo the current basis and appends the difference h of the normal forms
+when it is nonzero.  ``gb`` runs the walk to its end and keeps, for each h,
+an exact cofactor row over the original generators, all in a replayable
+trace.  ``is_groebner_basis`` (the finite criterion) runs the same walk on
+the given basis and stops at the first element it would append: the basis
+is a Groebner basis exactly when the walk appends nothing.  The mntcrs of
+pruned pairs are not re-checked for the mntcr contract; ``check_axioms``
+tests it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, NamedTuple, Sequence
@@ -163,10 +167,6 @@ class PairSet:
         self.live: list = []  # per element: whether its pairs with later elements are formed
         self.leads: list = []  # z(k, k): the lead of element k as a mntcr
 
-    def pop(self) -> tuple:
-        i, j, _z = self.pending.popleft()
-        return i, j
-
     def add(self, new: int) -> list:
         """Enqueue the pairs (k, new), k <= new; return the pruned ones as (i, j, reason)."""
         if not self.gm:
@@ -206,35 +206,75 @@ class PairSet:
         return pruned
 
 
-def critical_pairs(dom: Domain, basis: list, i: int, j: int):
-    """Yield (z, i1, i2, sides) for each mntcr z of basis elements i and j.
-
-    Index pairs (i1, i2) come in declared order.  ``sides`` is
-    (m1, a1, m2, a2), or None where the two sides are equal (module
-    docstring).
-    """
-    g1, g2 = basis[i], basis[j]
-    indices = dom.multiplier_indices
-    walk = [(z, i1, i2) for i1 in indices for i2 in indices for z in dom.mntcrs(g1, i1, g2, i2)]
-    for z, i1, i2 in walk:
-        if i == j and i1 == i2:
-            yield z, i1, i2, None
-            continue
-        sides = critical_pair(dom, z, g1, i1, g2, i2)
-        yield z, i1, i2, None if sides[1] == sides[3] else sides  # a1 == a2
-
-
-def _enqueue(pairs: PairSet, new: int, trace: GBTrace) -> None:
-    for i, j, reason in pairs.add(new):
-        trace.emit(("prune", i, j, reason))
-        trace.chain_skips += reason == "chain-criterion"
-
-
 def _add_into(dom: Domain, acc: dict, pos: int, value) -> None:
     if pos in acc:
         acc[pos] = dom.add(acc[pos], value)
     else:
         acc[pos] = value
+
+
+def _walk(dom: Domain, basis: list, trace: GBTrace, chain: bool, max_steps: int, max_pairs: float):
+    """Walk the critical pairs of the growing basis, appending each nonzero h to it.
+
+    Yields, once h is appended, its combination {pos: m} over basis
+    positions: h = sum(m * basis[pos]).  h's pairs join the pair set only
+    when the walk is resumed, so the finite criterion stops at the first
+    yield.  ``chain`` switches the chain-criterion prunes (module
+    docstring); the records go to ``trace``.
+    """
+    emit = trace.emit
+    pairs = PairSet(dom, basis, chain)
+
+    def enqueue(new: int) -> None:
+        for i, j, reason in pairs.add(new):
+            emit(("prune", i, j, reason))
+            trace.chain_skips += reason == "chain-criterion"
+
+    for pos, g in enumerate(basis):
+        emit(("init", pos, g))
+        enqueue(pos)
+    indices = dom.multiplier_indices
+    while pairs.pending:
+        i, j, _z = pairs.pending.popleft()
+        if trace.pairs_processed >= max_pairs:
+            raise NonTerminationError(f"pair walk did not finish within {max_pairs} pairs")
+        trace.pairs_processed += 1
+        emit(("pair", i, j))
+        g1, g2 = basis[i], basis[j]
+        walk = [(z, i1, i2) for i1 in indices for i2 in indices for z in dom.mntcrs(g1, i1, g2, i2)]
+        for z, i1, i2 in walk:
+            # a self-pair at one multiplier index has equal sides: not formed
+            sides = None if i == j and i1 == i2 else critical_pair(dom, z, g1, i1, g2, i2)
+            emit(("mntcr", z, i1, i2))
+            if sides is None or sides[1] == sides[3]:
+                emit(("skip", "equal-sides"))
+                continue
+            m1, a1, m2, a2 = sides
+            trace.critical_pairs_reduced += 1
+            emit(("critical", a1, a2))
+            nf1, steps1 = normal_form(dom, a1, basis, max_steps)
+            nf2, steps2 = normal_form(dom, a2, basis, max_steps)
+            emit(("reduced", nf1, nf2, len(steps1), len(steps2)))
+            h = dom.sub(nf1, nf2)
+            if not h:
+                emit(("h",))
+                continue
+            # h = -m1*basis[i] + m2*basis[j] - sum(steps1) + sum(steps2),
+            # the z contributions cancel exactly
+            combination: dict = {}
+            _add_into(dom, combination, i, dom.neg(m1))
+            _add_into(dom, combination, j, m2)
+            for pos, m in steps1:
+                _add_into(dom, combination, pos, dom.neg(m))
+            for pos, m in steps2:
+                _add_into(dom, combination, pos, m)
+            new = len(basis)
+            basis.append(h)
+            trace.additions += 1
+            emit(("add", new, h))
+            yield combination
+            enqueue(new)
+        emit(("done", i, j))
 
 
 def gb(
@@ -260,57 +300,17 @@ def gb(
     basis_rows: list = [{orig: dom.one} for orig, _ in kept]
     rows_out: list = []
     trace = GBTrace(dom)
-    emit = trace.emit
     try:
-        pairs = PairSet(dom, basis, chain_criterion)
-        for pos, g in enumerate(basis):
-            emit(("init", pos, g))
-            _enqueue(pairs, pos, trace)
-        while pairs.pending:
-            i, j = pairs.pop()
-            if trace.pairs_processed >= max_pairs:
-                raise NonTerminationError(f"pair walk did not finish within {max_pairs} pairs")
-            trace.pairs_processed += 1
-            emit(("pair", i, j))
-            for z, i1, i2, sides in critical_pairs(dom, basis, i, j):
-                emit(("mntcr", z, i1, i2))
-                if sides is None:
-                    emit(("skip", "equal-sides"))
-                    continue
-                m1, a1, m2, a2 = sides
-                trace.critical_pairs_reduced += 1
-                emit(("critical", a1, a2))
-                nf1, steps1 = normal_form(dom, a1, basis, max_steps)
-                nf2, steps2 = normal_form(dom, a2, basis, max_steps)
-                emit(("reduced", nf1, nf2, len(steps1), len(steps2)))
-                h = dom.sub(nf1, nf2)
-                if not h:
-                    emit(("h",))
-                    continue
-                # h = -m1*basis[i] + m2*basis[j] - sum(steps1) + sum(steps2),
-                # the z contributions cancel exactly
-                acc: dict = {}
-                _add_into(dom, acc, i, dom.neg(m1))
-                _add_into(dom, acc, j, m2)
-                for pos, m in steps1:
-                    _add_into(dom, acc, pos, dom.neg(m))
-                for pos, m in steps2:
-                    _add_into(dom, acc, pos, m)
-                row: dict = {}
-                for pos, mult in acc.items():
-                    for orig, base_mult in basis_rows[pos].items():
-                        _add_into(dom, row, orig, dom.mul(mult, base_mult))
-                row = {orig: v for orig, v in sorted(row.items()) if v}
-                new = len(basis)
-                basis.append(h)
-                basis_rows.append(row)
-                rows_out.append(CofactorRow(h, row))
-                trace.additions += 1
-                emit(("add", new, h))
-                _enqueue(pairs, new, trace)
-            emit(("done", i, j))
+        for combination in _walk(dom, basis, trace, chain_criterion, max_steps, max_pairs):
+            row: dict = {}
+            for pos, mult in combination.items():
+                for orig, base_mult in basis_rows[pos].items():
+                    _add_into(dom, row, orig, dom.mul(mult, base_mult))
+            row = {orig: v for orig, v in sorted(row.items()) if v}
+            basis_rows.append(row)
+            rows_out.append(CofactorRow(basis[-1], row))
         for g in basis:
-            emit(("final", g))
+            trace.emit(("final", g))
     except (NonTerminationError, ContractViolationError) as exc:
         exc.trace = trace  # the records up to the stop
         raise
@@ -318,27 +318,14 @@ def gb(
 
 
 def is_groebner_basis(dom: Domain, basis: Sequence, *, max_steps: int = DEFAULT_STEP_BOUND) -> bool:
-    """The finite criterion: every critical pair the pair set keeps joins.
+    """The finite criterion: completion's walk, with every rule on, appends nothing.
 
-    The basis enters a ``PairSet`` element by element, with every rule on,
-    and each critical pair of the pairs left is reduced.  Zero elements are
-    dropped, as ``gb`` drops zero generators: a zero reduces nothing and has
-    no mntcrs, so G is a basis exactly when its nonzero part is.
+    Zero elements are dropped, as ``gb`` drops zero generators: a zero
+    reduces nothing and has no mntcrs, so G is a basis exactly when its
+    nonzero part is.
     """
     G = [g for g in basis if g]
-    pairs = PairSet(dom, G, True)
-    for new in range(len(G)):
-        pairs.add(new)
-    while pairs.pending:
-        for _z, _i1, _i2, sides in critical_pairs(dom, G, *pairs.pop()):
-            if sides is None:
-                continue
-            _m1, a1, _m2, a2 = sides
-            nf1, _ = normal_form(dom, a1, G, max_steps)
-            nf2, _ = normal_form(dom, a2, G, max_steps)
-            if dom.sub(nf1, nf2):
-                return False
-    return True
+    return next(_walk(dom, G, GBTrace(dom), True, max_steps, math.inf), None) is None
 
 
 def member_ideal(

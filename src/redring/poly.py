@@ -44,11 +44,6 @@ def _check_lengths(s: Pp, t: Pp) -> None:
         raise ValueError(f"power products of different lengths: {s} vs {t}")
 
 
-def pp_mul(s: Pp, t: Pp) -> Pp:
-    _check_lengths(s, t)
-    return tuple(x + y for x, y in zip(s, t))
-
-
 def pp_lcm(s: Pp, t: Pp) -> Pp:
     _check_lengths(s, t)
     return tuple(max(x, y) for x, y in zip(s, t))

@@ -611,20 +611,19 @@ def test_gb_completes_single_generators(name):
     assert grown
 
 
-@pytest.mark.parametrize(
-    "coeff, names, texts",
-    [
-        # the leads pairwise share a variable, and each divides the lcm of the
-        # other two: only the order of the done set keeps the chain criterion
-        # from skipping every pair
-        (Q, "xyz", ("x*y - z", "y*z - x", "x*z - y")),
-        # coprime leads, but over ring coefficients the pair does not join
-        (make_integer_quotient_domain(360), "xy", ("300*y^2", "171*x")),
-        # one element: only its self-pairs at different indices can fail
-        (make_integer_quotient_domain(24), "xy", ("4*x + y",)),
-    ],
-    ids=["q-chain-cycle", "z360-coprime-leads", "z24-self-pairs"],
-)
+PINNED_NON_BASES = [
+    # the leads pairwise share a variable, and each divides the lcm of the
+    # other two: only the order of the done set keeps the chain criterion
+    # from skipping every pair
+    pytest.param(Q, "xyz", ("x*y - z", "y*z - x", "x*z - y"), id="q-chain-cycle"),
+    # coprime leads, but over ring coefficients the pair does not join
+    pytest.param(make_integer_quotient_domain(360), "xy", ("300*y^2", "171*x"), id="z360-coprime-leads"),
+    # one element: only its self-pairs at different indices can fail
+    pytest.param(make_integer_quotient_domain(24), "xy", ("4*x + y",), id="z24-self-pairs"),
+]
+
+
+@pytest.mark.parametrize("coeff, names, texts", PINNED_NON_BASES)
 def test_checker_rejects_pinned_non_bases(coeff, names, texts):
     R = make_poly_domain(coeff, tuple(names), "degrevlex")
     G = [R.parse(t) for t in texts]
@@ -696,6 +695,30 @@ def test_checker_forms_no_self_pair_at_one_index(name, subject, monkeypatch):
     assert formed
     # a self-pair at one multiplier index has equal sides: never formed
     assert not [f for f in formed if f[0] is f[2] and f[1] == f[3]]
+
+
+@pytest.mark.parametrize(
+    "coeff, names, texts, is_basis",
+    [pytest.param(*GOLDEN[name][:2], GOLDEN[name][4], True, id=name) for name in sorted(GOLDEN)]
+    + [pytest.param(*GOLDEN["katsura3"][:2], GOLDEN["katsura3"][4][:-1], False, id="katsura3-short")]
+    + [pytest.param(*p.values, False, id=p.id) for p in PINNED_NON_BASES],
+)
+def test_checker_forms_the_pairs_of_completion_up_to_its_first_append(
+    coeff, names, texts, is_basis, monkeypatch
+):
+    # the checker runs completion's walk and stops at the first element it
+    # would append: on a basis it forms every critical pair gb forms, in the
+    # same order, and elsewhere a nonempty proper prefix of them
+    R = make_poly_domain(coeff, tuple(names), "degrevlex")
+    G = [R.parse(t) for t in texts]
+    formed = record_formed_pairs(monkeypatch)
+    completed = gb(R, G).basis
+    by_gb = formed[:]
+    formed.clear()
+    assert is_groebner_basis(R, G) is is_basis
+    assert (completed == tuple(G)) is is_basis
+    assert formed and formed == by_gb[: len(formed)]
+    assert (len(formed) == len(by_gb)) is is_basis
 
 
 def test_gb_applies_the_product_criterion_only_over_field_coefficients(monkeypatch):

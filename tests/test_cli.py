@@ -309,7 +309,10 @@ def test_non_positive_cap_is_rejected(argv, problem, capsys):
     assert capsys.readouterr().err == expected
 
 
-# A Z[x,y,z] system whose completion, without interreduction, runs for minutes
+# A Z[x,y,z] system whose completion, without interreduction, ends with 76
+# elements after 2926 pairs (about 4 s with CPython 3.11 on a 2-CPU VM).  The
+# test below holds because its 60-pair cap (--max-steps also caps pairs) is
+# below those 2926 pairs.
 RUNAWAY_ZXYZ = """\
 ring z
 vars x,y,z

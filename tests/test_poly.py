@@ -12,7 +12,6 @@ from redring.poly import (
     mono_mul,
     pp_divides,
     pp_lcm,
-    pp_mul,
     pp_quotient,
 )
 from redring.scalars import (
@@ -49,7 +48,6 @@ def dict_mul(dom, a, b):
 
 class TestPowerProducts:
     def test_mul_lcm_divides_quotient(self):
-        assert pp_mul((1, 0), (0, 2)) == (1, 2)
         assert pp_lcm((2, 1), (1, 3)) == (2, 3)
         assert not pp_divides((1, 1), (1, 0))
         assert pp_divides((1, 0), (1, 1))
@@ -61,7 +59,7 @@ class TestPowerProducts:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            pp_mul((1,), (1, 2))
+            pp_lcm((1,), (1, 2))
 
 
 class TestTermOrders:
@@ -107,7 +105,9 @@ class TestTermOrders:
                 t = tuple(rng.randint(0, 4) for _ in range(3))
                 u = tuple(rng.randint(0, 4) for _ in range(3))
                 if order.compare(s, t) == -1:
-                    assert order.compare(pp_mul(s, u), pp_mul(t, u)) == -1
+                    su = tuple(x + y for x, y in zip(s, u))
+                    tu = tuple(x + y for x, y in zip(t, u))
+                    assert order.compare(su, tu) == -1
 
     def test_no_descent_below_zero_tuple(self):
         for kind in TermOrder.KINDS:
@@ -213,7 +213,7 @@ def ref_sub(R, a, b):
 
 
 def ref_mono_mul(R, c, pp, p):
-    return R.poly((R.coeff.mul(c, d), pp_mul(pp, e)) for d, e in p.terms)
+    return R.poly((R.coeff.mul(c, d), tuple(x + y for x, y in zip(pp, e))) for d, e in p.terms)
 
 
 def ref_scan(R, f, g, index):
@@ -295,7 +295,7 @@ class TestSortedArithmeticDifferential:
                 assert R.mul(p, mono).terms == want
                 q = random_poly(rng, R, rng.randint(0, 4))
                 assert (p * q).terms == R.poly(
-                    (R.coeff.mul(c1, c2), pp_mul(e1, e2))
+                    (R.coeff.mul(c1, c2), tuple(x + y for x, y in zip(e1, e2)))
                     for c1, e1 in p.terms
                     for c2, e2 in q.terms
                 ).terms
