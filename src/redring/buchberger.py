@@ -92,6 +92,10 @@ class GBTrace:
     * ``("h",)``: ``h zero``;
     * ``("add", pos, h)``: ``add <pos> <h>``;
     * ``("final", g)``: ``final <g>``, one per basis element.
+
+    The counters ``pairs_processed``, ``critical_pairs_reduced``,
+    ``additions`` and ``chain_skips`` count the ``pair``, ``critical``,
+    ``add`` and chain-criterion ``prune`` records.
     """
 
     # kind: (line format, positions of the fields that are domain elements)
@@ -112,13 +116,26 @@ class GBTrace:
     def __init__(self, dom: Domain) -> None:
         self.dom = dom
         self.records: list = []
-        self.pairs_processed = 0
-        self.critical_pairs_reduced = 0
-        self.additions = 0
-        self.chain_skips = 0
+        self.emit = self.records.append
 
-    def emit(self, record: tuple) -> None:
-        self.records.append(record)
+    def _count(self, kind: str) -> int:
+        return sum(r[0] == kind for r in self.records)
+
+    @property
+    def pairs_processed(self) -> int:
+        return self._count("pair")
+
+    @property
+    def critical_pairs_reduced(self) -> int:
+        return self._count("critical")
+
+    @property
+    def additions(self) -> int:
+        return self._count("add")
+
+    @property
+    def chain_skips(self) -> int:
+        return sum(r[0] == "prune" and r[3] == "chain-criterion" for r in self.records)
 
     def _line(self, record: tuple) -> str:
         """The trace line of one record."""
@@ -213,32 +230,39 @@ def _add_into(dom: Domain, acc: dict, pos: int, value) -> None:
         acc[pos] = value
 
 
-def _walk(dom: Domain, basis: list, trace: GBTrace, chain: bool, max_steps: int, max_pairs: float):
+# a record sink that keeps nothing: the finite criterion's, whose walk nobody reads
+_discard = deque(maxlen=0).append
+
+
+def _walk(dom: Domain, basis: list, emit, chain: bool, max_steps: int, max_pairs: float):
     """Walk the critical pairs of the growing basis, appending each nonzero h to it.
 
     Yields, once h is appended, its combination {pos: m} over basis
     positions: h = sum(m * basis[pos]).  h's pairs join the pair set only
     when the walk is resumed, so the finite criterion stops at the first
     yield.  ``chain`` switches the chain-criterion prunes (module
-    docstring); the records go to ``trace``.
+    docstring); each trace record (``GBTrace``) goes to ``emit``.  Popping
+    pair number max_pairs + 1 raises ``NonTerminationError``.
     """
-    emit = trace.emit
     pairs = PairSet(dom, basis, chain)
 
     def enqueue(new: int) -> None:
         for i, j, reason in pairs.add(new):
             emit(("prune", i, j, reason))
-            trace.chain_skips += reason == "chain-criterion"
 
     for pos, g in enumerate(basis):
         emit(("init", pos, g))
         enqueue(pos)
     indices = dom.multiplier_indices
+    walked = 0
     while pairs.pending:
         i, j, _z = pairs.pending.popleft()
-        if trace.pairs_processed >= max_pairs:
-            raise NonTerminationError(f"pair walk did not finish within {max_pairs} pairs")
-        trace.pairs_processed += 1
+        if walked >= max_pairs:
+            raise NonTerminationError(
+                f"pair walk did not finish within {max_pairs} pairs: "
+                f"stopped at pair {i} {j} with {len(basis)} basis elements"
+            )
+        walked += 1
         emit(("pair", i, j))
         g1, g2 = basis[i], basis[j]
         walk = [(z, i1, i2) for i1 in indices for i2 in indices for z in dom.mntcrs(g1, i1, g2, i2)]
@@ -250,7 +274,6 @@ def _walk(dom: Domain, basis: list, trace: GBTrace, chain: bool, max_steps: int,
                 emit(("skip", "equal-sides"))
                 continue
             m1, a1, m2, a2 = sides
-            trace.critical_pairs_reduced += 1
             emit(("critical", a1, a2))
             nf1, steps1 = normal_form(dom, a1, basis, max_steps)
             nf2, steps2 = normal_form(dom, a2, basis, max_steps)
@@ -270,7 +293,6 @@ def _walk(dom: Domain, basis: list, trace: GBTrace, chain: bool, max_steps: int,
                 _add_into(dom, combination, pos, m)
             new = len(basis)
             basis.append(h)
-            trace.additions += 1
             emit(("add", new, h))
             yield combination
             enqueue(new)
@@ -301,7 +323,7 @@ def gb(
     rows_out: list = []
     trace = GBTrace(dom)
     try:
-        for combination in _walk(dom, basis, trace, chain_criterion, max_steps, max_pairs):
+        for combination in _walk(dom, basis, trace.emit, chain_criterion, max_steps, max_pairs):
             row: dict = {}
             for pos, mult in combination.items():
                 for orig, base_mult in basis_rows[pos].items():
@@ -322,10 +344,10 @@ def is_groebner_basis(dom: Domain, basis: Sequence, *, max_steps: int = DEFAULT_
 
     Zero elements are dropped, as ``gb`` drops zero generators: a zero
     reduces nothing and has no mntcrs, so G is a basis exactly when its
-    nonzero part is.
+    nonzero part is.  The walk's records are discarded as they are made.
     """
     G = [g for g in basis if g]
-    return next(_walk(dom, G, GBTrace(dom), True, max_steps, math.inf), None) is None
+    return next(_walk(dom, G, _discard, True, max_steps, math.inf), None) is None
 
 
 def member_ideal(

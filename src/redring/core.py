@@ -66,14 +66,18 @@ class Domain:
     override it with a faster rule that keeps the results' meaning
     (``core.normal_form``).  ``canonical_associate`` picks the display
     representative of an element's associates (``redring gb --monic``).
-    Three optional hooks stay None where the domain has no sound, cheap
+    Four optional hooks stay None where the domain has no sound, cheap
     answer: ``single_reducibility_test(z, c)``, whether c alone reduces z
     (chain criterion); ``coprime_leads(c1, c2)``, whether the critical pairs
     of two distinct elements need no reduction because their leads are
-    coprime (product criterion); and ``annihilator(c)``, a nonzero m with
+    coprime (product criterion); ``annihilator(c)``, a nonzero m with
     m*c = 0 or None where only zero annihilates c, which rings with zero
     divisors provide and polynomial rings over them reduce through (their
-    multiplier index "ann").
+    multiplier index "ann"); and ``integer_image(cs)``, which the fraction
+    field of the integers provides and polynomial rings over it normal-form
+    through: the integers ns over the least positive d with cs[k] = ns[k]/d.
+    A domain with ``integer_image`` also builds the element n/d of integers
+    n and d != 0 as ``ratio(n, d)``.
     """
 
     name = "domain"
@@ -84,6 +88,7 @@ class Domain:
     single_reducibility_test = None
     coprime_leads = None
     annihilator = None
+    integer_image = None
 
     # ring operations
     def add(self, a, b):

@@ -128,13 +128,17 @@ class Monomial(NamedTuple):
 class Polynomial:
     """An immutable polynomial: monomials strictly descending in the ring's order.
 
-    A polynomial is falsy exactly when it is zero.  The slots ``_ann`` and
-    ``_rows`` cache ``PolyRing._ann_family(self)`` and
-    ``PolyRing._reducers(self)``.  They are set on first use, never in
-    ``__init__``, and play no part in equality or hashing.
+    A polynomial is falsy exactly when it is zero.  The slot ``_rows``
+    caches ``PolyRing._reducers(self)``, and ``_lift`` what a coefficient
+    hook derives from self: ``PolyRing._ann_family(self)`` over coefficients
+    with an ``annihilator`` (Z/nZ), ``fraction_free._image(ring, self)``
+    over coefficients with an ``integer_image`` (Q).  A field has no
+    annihilator, so no coefficient domain has both hooks.  The slots are
+    set on first use, never in ``__init__``, and play no part in equality
+    or hashing.
     """
 
-    __slots__ = ("ring", "terms", "_ann", "_rows")
+    __slots__ = ("ring", "terms", "_rows", "_lift")
 
     def __init__(self, ring: "PolyRing", terms: tuple) -> None:
         self.ring = ring
@@ -221,7 +225,9 @@ class PolyRing(Domain):
     leads.  The ring lists that index only where the coefficient domain
     provides the ``annihilator`` hook (Z/nZ); without zero divisors it would
     always be empty.  ``_reducers`` is the one encoding of what g rewrites
-    with at each index.  The normal form works top-down (``normal_form``).
+    with at each index.  The normal form works top-down (``normal_form``),
+    on integer numerators where the coefficient domain offers the
+    ``integer_image`` hook (Q).
     """
 
     def __init__(self, coeff: Domain, names: Iterable[str], order: TermOrder) -> None:
@@ -396,10 +402,10 @@ class PolyRing(Domain):
 
         Each step kills at least the current leading term, so the supports
         strictly shrink and the family is finite.  It is built once per
-        polynomial object and cached in ``g._ann``.
+        polynomial object and cached in ``g._lift``.
         """
         try:
-            return g._ann
+            return g._lift
         except AttributeError:
             pass
         family = []
@@ -414,8 +420,8 @@ class PolyRing(Domain):
             if not current:
                 break
             family.append((scalar, current))
-        g._ann = tuple(family)
-        return g._ann
+        g._lift = tuple(family)
+        return g._lift
 
     def _reducers(self, g: Polynomial) -> tuple:
         """Every rewrite g offers, as (index, coefficient index, scalar, lead
@@ -489,7 +495,12 @@ class PolyRing(Domain):
         so the h returned is irreducible at every index: the finite
         criterion, ``member_ideal`` and the cofactor rows keep their
         meaning.
+
+        Where the coefficient domain offers ``integer_image`` (Q), the same
+        steps run on integer numerators (``fraction_free.normal_form``).
         """
+        if self.coeff.integer_image is not None:
+            return _fraction_free_normal_form(self, a, basis, max_steps)
         reducers = [(pos, row) for pos, g in enumerate(basis) if g for row in self._reducers(g)]
         find, mul, neg = self.coeff.find_multiplier, self.coeff.mul, self.coeff.neg
         steps: list = []
@@ -681,3 +692,7 @@ def make_poly_domain(coeff: Domain, names: Iterable[str], order) -> PolyRing:
     if isinstance(order, str):
         order = TermOrder(order, len(names))
     return PolyRing(coeff, names, order)
+
+
+# fraction_free builds this module's polynomials, so it is imported once they exist
+from .fraction_free import normal_form as _fraction_free_normal_form  # noqa: E402

@@ -46,6 +46,13 @@ class RationalFieldDomain(Domain):
             return []
         return [self.one]
 
+    def integer_image(self, cs) -> tuple:
+        """(ns, d): the integers ns over the least positive d with cs[k] = ns[k]/d."""
+        d = math.lcm(*[c.denominator for c in cs])
+        return [c.numerator * (d // c.denominator) for c in cs], d
+
+    ratio = Fraction  # n/d, the way back from integer_image
+
     def canonical_associate(self, a):
         return self.one if a else a
 

@@ -5,6 +5,7 @@ import pytest
 
 from redring.buchberger import (
     CofactorRow,
+    GBTrace,
     PairSet,
     critical_pair,
     gb,
@@ -295,6 +296,36 @@ def test_trace_records_additions_and_finals():
 def test_pair_cap_raises():
     with pytest.raises(NonTerminationError):
         gb(Z, (4, 6, 9, 15), max_pairs=2)
+
+
+def test_pair_cap_names_the_pair_and_the_basis_size():
+    coeff, names, texts, _digest, _basis = GOLDEN["cyclic4"]
+    R = make_poly_domain(coeff, tuple(names), "degrevlex")
+    gens = [R.parse(t) for t in texts]
+    walked = [record[1:] for record in gb(R, gens).trace.records if record[0] == "pair"]
+    with pytest.raises(NonTerminationError) as stop:
+        gb(R, gens, max_pairs=5)
+    size = sum(record[0] in ("init", "add") for record in stop.value.trace.records)
+    assert size > len(gens)
+    i, j = walked[5]
+    assert str(stop.value) == (
+        f"pair walk did not finish within 5 pairs: stopped at pair {i} {j} with {size} basis elements"
+    )
+
+
+def test_checker_keeps_no_trace_and_keeps_its_step_cap(monkeypatch):
+    coeff, names, _texts, _digest, basis = GOLDEN["cyclic4"]
+    R = make_poly_domain(coeff, tuple(names), "degrevlex")
+    G = [R.parse(t) for t in basis]
+    made = []
+    real_init = GBTrace.__init__
+    monkeypatch.setattr(GBTrace, "__init__", lambda self, dom: made.append(dom) or real_init(self, dom))
+    assert is_groebner_basis(R, G)
+    assert made == []
+    with pytest.raises(NonTerminationError, match="within 0 steps"):
+        is_groebner_basis(R, G, max_steps=0)
+    gb(R, G)
+    assert made == [R]
 
 
 def test_state_invariants_hold_at_exit():

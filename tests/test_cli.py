@@ -331,6 +331,16 @@ def test_runaway_completion_stops_at_the_pair_cap(problem, capsys):
     assert err.startswith("step cap exceeded: ")
 
 
+def test_pair_cap_diagnostic_names_the_pair_and_the_basis_size(problem, capsys):
+    code, out, err = run(capsys, ["gb", problem(Z_PROBLEM), "--max-steps", "1"])
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "step cap exceeded: pair walk did not finish within 1 pairs: "
+        "stopped at pair 0 1 with 2 basis elements\n"
+    )
+
+
 def test_step_cap_exit_code(problem, capsys):
     code, _, err = run(capsys, ["gb", problem(Z_PROBLEM), "--max-steps", "1"])
     assert code == 3

@@ -2,17 +2,21 @@
 
 ``PolyRing.normal_form`` rewrites the greatest reducible term first and
 settles each irreducible term once; ``Domain.normal_form``, the loop over
-``reduce_step``, is the reference.  Seeded with stdlib ``random``.
+``reduce_step``, is the reference.  Over Q the same steps run on integer
+numerators; the top-down loop over ``Fraction`` coefficients is the
+reference there.  Seeded with stdlib ``random``.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from redring.buchberger import gb
-from redring.core import DEFAULT_STEP_BOUND, Domain, normal_form
+from redring.core import DEFAULT_STEP_BOUND, Domain, NonTerminationError, normal_form
 from redring.poly import make_poly_domain
 from redring.scalars import (
+    RationalFieldDomain,
     make_field_domain,
     make_integer_domain,
     make_integer_quotient_domain,
@@ -88,3 +92,82 @@ def test_member_verdicts_agree_with_the_generic_loop(name, order):
             assert top_down == generic, (R.render(p), [R.render(g) for g in G])
             verdicts.append(top_down)
     assert True in verdicts and False in verdicts
+
+
+class FractionLoopQ(RationalFieldDomain):
+    """The rationals without an integer image: polynomial rings over it take
+    the top-down loop over ``Fraction`` coefficients."""
+
+    integer_image = None
+
+
+def random_rational_poly(rng, R, terms, size, den):
+    """1 to ``terms`` terms over Q[x,y], exponents up to 3, coefficients p/q
+    with 0 < |p| <= size and 0 < q <= den."""
+    items = []
+    for _ in range(rng.randint(1, terms)):
+        c = Fraction(rng.choice((1, -1)) * rng.randint(1, size), rng.randint(1, den))
+        items.append((c, (rng.randint(0, 3), rng.randint(0, 3))))
+    return R.poly(items)
+
+
+@pytest.mark.parametrize("order", ["lex", "degrevlex"])
+def test_fraction_free_normal_form_matches_the_fraction_loop(order):
+    coeff = make_field_domain()
+    denominators = []
+    coeff.ratio = lambda n, d: denominators.append(d) or Fraction(n, d)
+    R = make_poly_domain(coeff, ("x", "y"), order)
+    reference = make_poly_domain(FractionLoopQ(), ("x", "y"), order)
+    rng = random.Random(f"fraction-free-{order}")
+    capped = 0
+    for trial in range(200):
+        # leads that are not 1; every fourth probe has numerators up to 2**40
+        # and denominators up to 2**20, so that its scale passes 2**64
+        basis = [random_rational_poly(rng, R, 3, 9, 7) for _ in range(rng.randint(1, 3))]
+        size, den = (2**40, 2**20) if trial % 4 == 0 else (50, 30)
+        a = random_rational_poly(rng, R, 8, size, den)
+        shown = (R.render(a), [R.render(g) for g in basis])
+        h, steps = R.normal_form(a, basis, DEFAULT_STEP_BOUND)
+        assert (h, steps) == reference.normal_form(a, basis, DEFAULT_STEP_BOUND), shown
+        if steps:
+            cap = rng.randrange(len(steps))
+            with pytest.raises(NonTerminationError) as fraction_free:
+                R.normal_form(a, basis, cap)
+            with pytest.raises(NonTerminationError) as fraction_loop:
+                reference.normal_form(a, basis, cap)
+            assert str(fraction_free.value) == str(fraction_loop.value), shown
+            capped += 1
+    assert capped > 100
+    # the scale of the unsettled part passed 2**64, where its content is divided out
+    assert max(map(abs, denominators)) >> 64
+
+
+def test_fraction_free_normal_form_does_no_coefficient_arithmetic(monkeypatch):
+    coeff = make_field_domain()
+    R = make_poly_domain(coeff, ("x", "y", "z"), "degrevlex")
+    basis = [R.parse("3*x^2 - 2/5*y*z + 1"), R.parse("-7/2*y^2 + x*z - 4"), R.parse("5*z^2 - x")]
+    a = R.parse("2/3*x^3*y^2 + 5*x^2*y*z^2 - 1/7*y^3*z + 9*z^3 - 11")
+    calls = []
+    for name in ("add", "neg", "mul", "find_multiplier"):
+        real = getattr(coeff, name)
+        monkeypatch.setattr(coeff, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    h, steps = R.normal_form(a, basis, DEFAULT_STEP_BOUND)
+    assert len(steps) >= 5
+    assert calls == []
+    monkeypatch.undo()
+    reference = make_poly_domain(FractionLoopQ(), R.names, "degrevlex")
+    assert (h, steps) == reference.normal_form(a, basis, DEFAULT_STEP_BOUND)
+
+
+@pytest.mark.parametrize("name", ["z", "zmod24", "zmod360"])
+def test_ring_coefficients_take_the_top_down_loop(name, monkeypatch):
+    coeff = COEFFS[name]
+    assert coeff.integer_image is None
+    R = make_poly_domain(coeff, ("x", "y"), "degrevlex")
+    basis = [R.parse("4*x*y + 3"), R.parse("6*y^2 + x")]
+    a = R.parse("17*x^2*y^3 + 23*x*y^2 + 5")
+    calls = []
+    real = coeff.find_multiplier
+    monkeypatch.setattr(coeff, "find_multiplier", lambda *args: calls.append(args) or real(*args))
+    _h, steps = R.normal_form(a, basis, DEFAULT_STEP_BOUND)
+    assert steps and len(calls) >= len(steps)
