@@ -6,27 +6,28 @@ included.  ``PairSet.add`` takes each element as it joins the basis: each
 given element in order, then each element the walk appends.  Pending pairs
 leave the set in the order they entered.
 
-Without the field-only hooks ``single_reducibility_test`` and
-``coprime_leads``, ``add`` enqueues every (k, new), k <= new, so the walk
-visits every index pair of the growing basis in j-major order.  With them
-(polynomials over a field) it is the Gebauer-Moeller update (Gebauer and
-Moeller, J. Symb. Comp. 1988; UPDATE in Becker and Weispfenning, *Groebner
-Bases*, 1993, section 5.5).  Let z(a, b) be the first mntcr of elements a and
-b at the first multiplier index, over a field a term at the lcm of their
-leads, and h the new element.  The update prunes, in this order:
+Without the field-only hook ``field_lead``, ``add`` enqueues every
+(k, new), k <= new, so the walk visits every index pair of the growing
+basis in j-major order.  With it (polynomials over a field) it is the
+Gebauer-Moeller update (Gebauer and Moeller, J. Symb. Comp. 1988; UPDATE
+in Becker and Weispfenning, *Groebner Bases*, 1993, section 5.5), on lead
+power products: an element reduces exactly the terms whose power product
+its lead divides.  Let z(a, b) be the lcm of the leads of elements a and b
+(the power product of their mntcr) and h the new element.  The update
+prunes, in this order:
 
 * ``chain-criterion``, where asked for: (k, new) when k left the set (see
-  below); when some other live element l has z(l, new) reducing
-  z(k, new) on its own and different from it (criterion M); when a live
-  l < k has z(l, new) = z(k, new) (criterion F);
+  below); when some other live element l has z(l, new) dividing z(k, new)
+  and different from it (criterion M); when a live l < k has
+  z(l, new) = z(k, new) (criterion F);
 * ``product-criterion``: a surviving (k, new) whose leads are coprime
   (Buchberger's product criterion);
-* ``chain-criterion``, where asked for: a pending (i, j) whose z(i, j) h
-  reduces on its own, with z(i, new) != z(i, j) != z(j, new) (criterion B).
+* ``chain-criterion``, where asked for: a pending (i, j) whose z(i, j) the
+  lead of h divides, with z(i, new) != z(i, j) != z(j, new) (criterion B).
 
-Where asked for, the elements whose lead h reduces then leave the set:
-their later pairs are pruned, while the pairs already pending, the basis
-and the cofactor rows keep them.  Every other pair, and the self-pair
+Where asked for, the elements whose lead the lead of h divides then leave
+the set: their later pairs are pruned, while the pairs already pending, the
+basis and the cofactor rows keep them.  Every other pair, and the self-pair
 (new, new), is enqueued.
 
 For each pair of multiplier indices, the walk takes the domain's canonical
@@ -50,6 +51,7 @@ import hashlib
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import le
 from typing import Any, NamedTuple, Sequence
 
 from .core import (
@@ -175,51 +177,51 @@ class PairSet:
     """The pending index pairs of a basis that grows, in walk order (module docstring)."""
 
     def __init__(self, dom: Domain, basis: list, chain: bool) -> None:
-        self.dom = dom
         self.basis = basis
-        # the field-only hooks decide between the full walk and Gebauer-Moeller
-        self.gm = callable(dom.single_reducibility_test) and callable(dom.coprime_leads)
-        self.chain = chain and self.gm
-        self.pending: deque = deque()  # (i, j, z(i, j)), z None where no rule reads it
+        # the field-only hook decides between the full walk and Gebauer-Moeller
+        self.field_lead = dom.field_lead
+        self.chain = chain and self.field_lead is not None
+        self.pending: deque = deque()  # (i, j, z(i, j)), z None on the full walk
         self.live: list = []  # per element: whether its pairs with later elements are formed
-        self.leads: list = []  # z(k, k): the lead of element k as a mntcr
+        self.leads: list = []  # per element: its lead power product
 
     def add(self, new: int) -> list:
         """Enqueue the pairs (k, new), k <= new; return the pruned ones as (i, j, reason)."""
-        if not self.gm:
+        if self.field_lead is None:
             self.pending.extend((k, new, None) for k in range(new + 1))
             return []
-        dom, basis, h, chain = self.dom, self.basis, self.basis[new], self.chain
-        test, idx = dom.single_reducibility_test, dom.multiplier_indices[0]
-
-        def z(k: int):  # z(k, new); z(new, new) is the lead of h
-            return dom.mntcrs(basis[k], idx, h, idx)[0]
-
-        zs = [z(k) if chain and (k == new or self.live[k]) else None for k in range(new + 1)]
-        live = [k for k in range(new) if zs[k] is not None]
+        leads, chain = self.leads, self.chain
+        t = self.field_lead(self.basis[new])
+        leads.append(t)
+        z = [tuple(map(max, s, t)) for s in leads]  # z[k] = z(k, new); z[new] = t
+        live = [k for k in range(new) if self.live[k]] if chain else []
         pruned, fresh = [], []
         for k in range(new):
-            zk = zs[k]
-            if chain and (zk is None or any(l < k if zs[l] == zk else test(zk, zs[l]) for l in live)):
+            zk = z[k]
+            # criteria M and F over the live elements; an element that left
+            # the set forms no later pairs
+            if chain and (
+                not self.live[k]
+                or any(l < k if z[l] == zk else all(map(le, z[l], zk)) for l in live)
+            ):
                 pruned.append((k, new, "chain-criterion"))
-            elif dom.coprime_leads(basis[k], h):
+            elif not any(map(min, leads[k], t)):
                 pruned.append((k, new, "product-criterion"))
             else:
                 fresh.append((k, new, zk))
         if chain:
             kept = deque()
             for i, j, zij in self.pending:
-                if test(zij, h) and (zs[i] or z(i)) != zij != (zs[j] or z(j)):
+                if all(map(le, t, zij)) and z[i] != zij != z[j]:
                     pruned.append((i, j, "chain-criterion"))
                 else:
                     kept.append((i, j, zij))
             self.pending = kept
             for k in live:
-                self.live[k] = not test(self.leads[k], h)
+                self.live[k] = not all(map(le, t, leads[k]))
             self.live.append(True)
-            self.leads.append(zs[new])
         self.pending.extend(fresh)
-        self.pending.append((new, new, zs[new]))
+        self.pending.append((new, new, t))
         return pruned
 
 
@@ -242,7 +244,10 @@ def _walk(dom: Domain, basis: list, emit, chain: bool, max_steps: int, max_pairs
     when the walk is resumed, so the finite criterion stops at the first
     yield.  ``chain`` switches the chain-criterion prunes (module
     docstring); each trace record (``GBTrace``) goes to ``emit``.  Popping
-    pair number max_pairs + 1 raises ``NonTerminationError``.
+    pair number max_pairs + 1 raises ``NonTerminationError``.  A
+    ``NonTerminationError`` or ``ContractViolationError`` raised while a
+    pair is formed or reduced leaves with ``at pair i j with K basis
+    elements`` added to its message.
     """
     pairs = PairSet(dom, basis, chain)
 
@@ -264,38 +269,44 @@ def _walk(dom: Domain, basis: list, emit, chain: bool, max_steps: int, max_pairs
             )
         walked += 1
         emit(("pair", i, j))
-        g1, g2 = basis[i], basis[j]
-        walk = [(z, i1, i2) for i1 in indices for i2 in indices for z in dom.mntcrs(g1, i1, g2, i2)]
-        for z, i1, i2 in walk:
-            # a self-pair at one multiplier index has equal sides: not formed
-            sides = None if i == j and i1 == i2 else critical_pair(dom, z, g1, i1, g2, i2)
-            emit(("mntcr", z, i1, i2))
-            if sides is None or sides[1] == sides[3]:
-                emit(("skip", "equal-sides"))
-                continue
-            m1, a1, m2, a2 = sides
-            emit(("critical", a1, a2))
-            nf1, steps1 = normal_form(dom, a1, basis, max_steps)
-            nf2, steps2 = normal_form(dom, a2, basis, max_steps)
-            emit(("reduced", nf1, nf2, len(steps1), len(steps2)))
-            h = dom.sub(nf1, nf2)
-            if not h:
-                emit(("h",))
-                continue
-            # h = -m1*basis[i] + m2*basis[j] - sum(steps1) + sum(steps2),
-            # the z contributions cancel exactly
-            combination: dict = {}
-            _add_into(dom, combination, i, dom.neg(m1))
-            _add_into(dom, combination, j, m2)
-            for pos, m in steps1:
-                _add_into(dom, combination, pos, dom.neg(m))
-            for pos, m in steps2:
-                _add_into(dom, combination, pos, m)
-            new = len(basis)
-            basis.append(h)
-            emit(("add", new, h))
-            yield combination
-            enqueue(new)
+        try:
+            g1, g2 = basis[i], basis[j]
+            walk = [
+                (z, i1, i2) for i1 in indices for i2 in indices for z in dom.mntcrs(g1, i1, g2, i2)
+            ]
+            for z, i1, i2 in walk:
+                # a self-pair at one multiplier index has equal sides: not formed
+                sides = None if i == j and i1 == i2 else critical_pair(dom, z, g1, i1, g2, i2)
+                emit(("mntcr", z, i1, i2))
+                if sides is None or sides[1] == sides[3]:
+                    emit(("skip", "equal-sides"))
+                    continue
+                m1, a1, m2, a2 = sides
+                emit(("critical", a1, a2))
+                nf1, steps1 = normal_form(dom, a1, basis, max_steps)
+                nf2, steps2 = normal_form(dom, a2, basis, max_steps)
+                emit(("reduced", nf1, nf2, len(steps1), len(steps2)))
+                h = dom.sub(nf1, nf2)
+                if not h:
+                    emit(("h",))
+                    continue
+                # h = -m1*basis[i] + m2*basis[j] - sum(steps1) + sum(steps2),
+                # the z contributions cancel exactly
+                combination: dict = {}
+                _add_into(dom, combination, i, dom.neg(m1))
+                _add_into(dom, combination, j, m2)
+                for pos, m in steps1:
+                    _add_into(dom, combination, pos, dom.neg(m))
+                for pos, m in steps2:
+                    _add_into(dom, combination, pos, m)
+                new = len(basis)
+                basis.append(h)
+                emit(("add", new, h))
+                yield combination
+                enqueue(new)
+        except (NonTerminationError, ContractViolationError) as exc:
+            exc.args = (f"{exc} at pair {i} {j} with {len(basis)} basis elements",)
+            raise
         emit(("done", i, j))
 
 
@@ -350,21 +361,12 @@ def is_groebner_basis(dom: Domain, basis: Sequence, *, max_steps: int = DEFAULT_
     return next(_walk(dom, G, _discard, True, max_steps, math.inf), None) is None
 
 
-def member_ideal(
-    dom: Domain,
-    a,
-    basis: Sequence,
-    *,
-    check: bool = False,
-    max_steps: int = DEFAULT_STEP_BOUND,
-) -> bool:
+def member_ideal(dom: Domain, a, basis: Sequence, *, max_steps: int = DEFAULT_STEP_BOUND) -> bool:
     """Whether a totally reduces to zero modulo the basis.
 
-    Decides ideal membership when the basis is a Groebner basis; pass
-    check=True to verify that first.
+    Decides ideal membership when the basis is a Groebner basis, which
+    ``is_groebner_basis`` checks.
     """
-    if check and not is_groebner_basis(dom, basis, max_steps=max_steps):
-        raise ValueError("basis is not a Groebner basis")
     h, _ = normal_form(dom, a, basis, max_steps)
     return not h
 

@@ -66,11 +66,11 @@ class Domain:
     override it with a faster rule that keeps the results' meaning
     (``core.normal_form``).  ``canonical_associate`` picks the display
     representative of an element's associates (``redring gb --monic``).
-    Four optional hooks stay None where the domain has no sound, cheap
-    answer: ``single_reducibility_test(z, c)``, whether c alone reduces z
-    (chain criterion); ``coprime_leads(c1, c2)``, whether the critical pairs
-    of two distinct elements need no reduction because their leads are
-    coprime (product criterion); ``annihilator(c)``, a nonzero m with
+    Three optional hooks stay None where the domain has no sound, cheap
+    answer: ``field_lead(c)``, the lead power product of c where c reduces
+    exactly the terms whose power product it divides, which polynomial
+    rings over a field provide and the pair set's Gebauer-Moeller criteria
+    read (``buchberger.PairSet``); ``annihilator(c)``, a nonzero m with
     m*c = 0 or None where only zero annihilates c, which rings with zero
     divisors provide and polynomial rings over them reduce through (their
     multiplier index "ann"); and ``integer_image(cs)``, which the fraction
@@ -85,8 +85,7 @@ class Domain:
     zero: Any = None
     one: Any = None
     is_field = False
-    single_reducibility_test = None
-    coprime_leads = None
+    field_lead = None
     annihilator = None
     integer_image = None
 

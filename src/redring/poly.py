@@ -227,7 +227,10 @@ class PolyRing(Domain):
     always be empty.  ``_reducers`` is the one encoding of what g rewrites
     with at each index.  The normal form works top-down (``normal_form``),
     on integer numerators where the coefficient domain offers the
-    ``integer_image`` hook (Q).
+    ``integer_image`` hook (Q).  Over field coefficients g reduces exactly
+    the terms its leading power product divides, and every mntcr of two
+    elements is one term at the lcm of their leads; the ring then offers
+    ``field_lead``, through which the pair set reads those lcms.
     """
 
     def __init__(self, coeff: Domain, names: Iterable[str], order: TermOrder) -> None:
@@ -246,9 +249,8 @@ class PolyRing(Domain):
         if callable(coeff.annihilator):
             self.multiplier_indices += ("ann",)
         if not coeff.is_field:
-            # the chain and product criteria hold only where reducibility is
-            # pure power-product divisibility, i.e. over field coefficients
-            self.single_reducibility_test = self.coprime_leads = None
+            # reducibility is pure power-product divisibility only over a field
+            self.field_lead = None
         self.zero = Polynomial(self, ())
         self.one = self.poly([(coeff.one, (0,) * self.nvars)])
 
@@ -542,24 +544,12 @@ class PolyRing(Domain):
                         out.append(z)
         return out
 
-    def single_reducibility_test(self, z: Polynomial, g: Polynomial) -> bool:
-        """Whether g alone reduces z.  Field coefficients only (see ``__init__``).
+    def field_lead(self, g: Polynomial) -> Pp:
+        """g's leading power product: over a field it alone decides which terms g reduces.
 
-        Over a field every nonzero coefficient reduces to zero, so g reduces
-        z exactly when its leading power product divides a power product of
-        z.  Over ring coefficients the side pairs of the chain criterion see
-        different coefficient parts of z, so no single test is sound there.
+        Over ring coefficients the coefficients decide too (see ``__init__``).
         """
-        g_pp = g.terms[0].pp
-        return any(all(map(_le, g_pp, pp)) for _, pp in z.terms)
-
-    def coprime_leads(self, g1: Polynomial, g2: Polynomial) -> bool:
-        """Whether the leading power products share no variable.  Field coefficients only.
-
-        Then the pair's S-polynomial has a representation below the lcm of
-        the leads (Buchberger's product criterion), so it needs no reduction.
-        """
-        return not any(map(min, g1.terms[0].pp, g2.terms[0].pp))
+        return g.terms[0].pp
 
     def monic(self, p: Polynomial) -> Polynomial:
         """Scale by the inverse leading coefficient; field coefficients only."""

@@ -1,5 +1,8 @@
+import hashlib
 import random
+from collections import Counter, deque
 from fractions import Fraction
+from operator import le
 
 import pytest
 
@@ -25,7 +28,7 @@ from redring.oracles import (
     exhaustive_ideal_oracle,
     gcd_membership_oracle,
 )
-from redring.poly import make_poly_domain
+from redring.poly import PolyRing, make_poly_domain
 from redring.relations import is_church_rosser
 from redring.scalars import (
     RationalFieldDomain,
@@ -112,10 +115,13 @@ def test_member_ideal_trivial_zero():
     assert member_ideal(Z, 0, gb(Z, (4, 6)).basis)
 
 
-def test_member_ideal_check_flag():
-    with pytest.raises(ValueError):
-        member_ideal(Z, 2, (4, 6), check=True)
-    assert member_ideal(Z, 2, gb(Z, (4, 6)).basis, check=True)
+def test_member_ideal_after_is_groebner_basis():
+    # membership is decided by a Groebner basis, which the finite criterion checks
+    assert not is_groebner_basis(Z, (4, 6))
+    basis = gb(Z, (4, 6)).basis
+    assert is_groebner_basis(Z, basis)
+    assert member_ideal(Z, 2, basis)
+    assert not member_ideal(Z, 3, basis)
 
 
 def test_is_groebner_basis_empty_and_singleton():
@@ -313,6 +319,18 @@ def test_pair_cap_names_the_pair_and_the_basis_size():
     )
 
 
+def test_reduction_step_cap_names_the_pair_and_the_basis_size():
+    with pytest.raises(NonTerminationError) as stop:
+        gb(Z, (12, 18, 8), max_steps=0)
+    records = stop.value.trace.records
+    assert records[-1] == ("critical", -6, 0)  # the trace still ends where the walk stopped
+    assert [r for r in records if r[0] == "pair"][-1] == ("pair", 0, 1)
+    assert sum(r[0] in ("init", "add") for r in records) == 3
+    assert str(stop.value) == (
+        "reduction of -6 did not settle within 0 steps at pair 0 1 with 3 basis elements"
+    )
+
+
 def test_checker_keeps_no_trace_and_keeps_its_step_cap(monkeypatch):
     coeff, names, _texts, _digest, basis = GOLDEN["cyclic4"]
     R = make_poly_domain(coeff, tuple(names), "degrevlex")
@@ -467,6 +485,33 @@ def test_golden_replay(name):
     assert verify_cofactors(R, res.rows, gens)
 
 
+def cyclic(names) -> list:
+    """The cyclic-n system in the variables names, as text."""
+    n = len(names)
+    sums = [
+        " + ".join("*".join(names[(i + j) % n] for j in range(k)) for i in range(n))
+        for k in range(1, n)
+    ]
+    return sums + ["*".join(names) + " - 1"]
+
+
+def test_cyclic5_replay():
+    # the golden systems above prune a few pairs each; cyclic5 prunes 749,
+    # so this pin sees every rule of the Gebauer-Moeller update at work
+    names = [f"x{k}" for k in range(5)]
+    R = make_poly_domain(Q, tuple(names), "degrevlex")
+    res = gb(R, [R.parse(t) for t in cyclic(names)])
+    trace = res.trace
+    rendered = "\n".join(R.render(g) for g in res.basis).encode("utf-8")
+    assert trace.digest() == "3fe5f8e136b8aa0f01d9b2304b70dda3a576bfb29c6c9daf4f31d19edbb3eb25"
+    assert hashlib.sha256(rendered).hexdigest() == (
+        "8bf29ca59aa7e8f8e3d67c372f3b82305b91f56d263cc39c7911cd454b923fcc"
+    )
+    assert (len(res.basis), trace.pairs_processed, trace.critical_pairs_reduced) == (42, 154, 112)
+    reasons = Counter(r[3] for r in trace.records if r[0] == "prune")
+    assert reasons == {"chain-criterion": 712, "product-criterion": 37}
+
+
 @pytest.mark.parametrize("cap", [{"max_pairs": 10}, {"max_steps": 1}], ids=["pairs", "steps"])
 def test_stopped_completion_keeps_its_trace(cap):
     coeff, names, texts, _digest, _basis = GOLDEN["cyclic4"]
@@ -595,12 +640,12 @@ def product_prunes_take_part_in_m_and_f(R, res) -> bool:
             coprime.append((int(words[1]), int(words[2])))
 
     def z(i, j):
-        return R.mntcrs(res.basis[i], 0, res.basis[j], 0)[0]
+        return tuple(map(max, R.field_lead(res.basis[i]), R.field_lead(res.basis[j])))
 
     for l, j in coprime:
         for k, _j in (p for p in walked if p[1] == j):
             zl, zk = z(l, j), z(k, j)
-            if l < k if zl == zk else R.single_reducibility_test(zk, zl):
+            if l < k if zl == zk else all(map(le, zl, zk)):
                 return False
     return True
 
@@ -625,6 +670,117 @@ def test_pair_set_agrees_with_classical_buchberger(name):
             assert is_groebner_basis(R, candidate) is verdict, [R.render(g) for g in candidate]
         off = gb(R, gens, chain_criterion=False)
         assert res.trace.critical_pairs_reduced <= off.trace.critical_pairs_reduced, shown
+
+
+class MntcrPairSet:
+    """The pair set as it was built on mntcr polynomials: ``PairSet``'s reference.
+
+    z(k, new) is the first mntcr of the pair at the first multiplier index,
+    a polynomial; c alone reduces z when c's lead divides a power product of
+    z, and two leads are coprime when they share no variable.  Over a field
+    each z is one term at the lcm of the leads, so ``PairSet`` must prune and
+    enqueue exactly as this does.
+    """
+
+    def __init__(self, dom, basis, chain):
+        self.dom = dom
+        self.basis = basis
+        self.gm = isinstance(dom, PolyRing) and dom.coeff.is_field
+        self.chain = chain and self.gm
+        self.pending = deque()
+        self.live = []
+        self.leads = []
+
+    @staticmethod
+    def reduces_alone(z, g):
+        g_pp = g.terms[0].pp
+        return any(all(map(le, g_pp, pp)) for _, pp in z.terms)
+
+    @staticmethod
+    def coprime_leads(g1, g2):
+        return not any(map(min, g1.terms[0].pp, g2.terms[0].pp))
+
+    def add(self, new):
+        if not self.gm:
+            self.pending.extend((k, new, None) for k in range(new + 1))
+            return []
+        dom, basis, h, chain = self.dom, self.basis, self.basis[new], self.chain
+        test, idx = self.reduces_alone, dom.multiplier_indices[0]
+
+        def z(k):
+            return dom.mntcrs(basis[k], idx, h, idx)[0]
+
+        zs = [z(k) if chain and (k == new or self.live[k]) else None for k in range(new + 1)]
+        live = [k for k in range(new) if zs[k] is not None]
+        pruned, fresh = [], []
+        for k in range(new):
+            zk = zs[k]
+            if chain and (zk is None or any(l < k if zs[l] == zk else test(zk, zs[l]) for l in live)):
+                pruned.append((k, new, "chain-criterion"))
+            elif self.coprime_leads(basis[k], h):
+                pruned.append((k, new, "product-criterion"))
+            else:
+                fresh.append((k, new, zk))
+        if chain:
+            kept = deque()
+            for i, j, zij in self.pending:
+                if test(zij, h) and (zs[i] or z(i)) != zij != (zs[j] or z(j)):
+                    pruned.append((i, j, "chain-criterion"))
+                else:
+                    kept.append((i, j, zij))
+            self.pending = kept
+            for k in live:
+                self.live[k] = not test(self.leads[k], h)
+            self.live.append(True)
+            self.leads.append(zs[new])
+        self.pending.extend(fresh)
+        self.pending.append((new, new, zs[new]))
+        return pruned
+
+
+def replay_against_mntcr_pair_set(R, gens, chain) -> Counter:
+    """Feed ``PairSet`` and the reference the adds and pops of gb's walk, in
+    its order, and require the same pruned pairs and pending order after
+    every add; return the prunes by reason."""
+    records = gb(R, gens, chain_criterion=chain).trace.records
+    basis: list = []
+    pairs, reference = PairSet(R, basis, chain), MntcrPairSet(R, basis, chain)
+    reasons: Counter = Counter()
+    for kind, *fields in records:
+        if kind in ("init", "add"):
+            basis.append(fields[1])
+            pruned = pairs.add(fields[0])
+            assert pruned == reference.add(fields[0])
+            assert pending_pairs(pairs) == pending_pairs(reference)
+            reasons.update(reason for _i, _j, reason in pruned)
+        elif kind == "pair":
+            assert pairs.pending.popleft()[:2] == reference.pending.popleft()[:2] == tuple(fields)
+    assert not pairs.pending and not reference.pending
+    return reasons
+
+
+@pytest.mark.parametrize("chain", [True, False], ids=["chain", "no-chain"])
+@pytest.mark.parametrize("name", sorted(PAIR_SET_RINGS))
+def test_pair_set_agrees_with_the_mntcr_pair_set(name, chain):
+    coeff, order = PAIR_SET_RINGS[name]
+    R = make_poly_domain(coeff, ("x", "y", "z"), order)
+    rng = random.Random(f"mntcr-pair-set-{name}")
+    reasons: Counter = Counter()
+    for _ in range(8):
+        reasons += replay_against_mntcr_pair_set(R, random_generators(rng, R, 2, 9, 3, 4), chain)
+    assert reasons["product-criterion"]
+    assert bool(reasons["chain-criterion"]) is chain
+
+
+def test_pair_set_makes_no_mntcrs_call(monkeypatch):
+    coeff, names, _texts, _digest, basis = GOLDEN["cyclic4"]
+    R = make_poly_domain(coeff, tuple(names), "degrevlex")
+    G = [R.parse(t) for t in basis]
+    calls = []
+    monkeypatch.setattr(R, "mntcrs", lambda *args: calls.append(args))
+    pairs, pruned = fed_pair_set(R, G)
+    assert pruned and pairs.pending
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["z24", "z360"])
@@ -773,10 +929,12 @@ def test_gb_applies_the_product_criterion_only_over_field_coefficients(monkeypat
 
 
 def test_pair_criterion_hooks_only_over_field_coefficients():
-    for coeff in (make_integer_quotient_domain(24), Z):
+    for dom in (Q, Z, make_poly_domain(Z, ("x", "y"), "degrevlex")):
+        assert dom.field_lead is None
+    R = make_poly_domain(make_integer_quotient_domain(24), ("x", "y"), "degrevlex")
+    assert R.field_lead is None
+    for coeff in (Q, TwoIndexField()):
         R = make_poly_domain(coeff, ("x", "y"), "degrevlex")
-        assert R.single_reducibility_test is None and R.coprime_leads is None
-    R = make_poly_domain(Q, ("x", "y"), "degrevlex")
-    assert R.coprime_leads(R.parse("x^2 + y"), R.parse("y^3"))
-    assert not R.coprime_leads(R.parse("x*y"), R.parse("y^3 + x"))
-    assert R.single_reducibility_test(R.parse("x^2*y"), R.parse("x*y + 1"))
+        assert R.field_lead(R.parse("x^2 + y")) == (2, 0)
+        assert R.field_lead(R.parse("x*y + y^2 + 1")) == (1, 1)
+        assert R.field_lead(R.parse("y^3")) == (0, 3)
