@@ -305,7 +305,7 @@ def test_pair_cap_raises():
 
 
 def test_pair_cap_names_the_pair_and_the_basis_size():
-    coeff, names, texts, _digest, _basis = GOLDEN["cyclic4"]
+    coeff, names, texts, _digest, _basis, _rows = GOLDEN["cyclic4"]
     R = make_poly_domain(coeff, tuple(names), "degrevlex")
     gens = [R.parse(t) for t in texts]
     walked = [record[1:] for record in gb(R, gens).trace.records if record[0] == "pair"]
@@ -332,7 +332,7 @@ def test_reduction_step_cap_names_the_pair_and_the_basis_size():
 
 
 def test_checker_keeps_no_trace_and_keeps_its_step_cap(monkeypatch):
-    coeff, names, _texts, _digest, basis = GOLDEN["cyclic4"]
+    coeff, names, _texts, _digest, basis, _rows = GOLDEN["cyclic4"]
     R = make_poly_domain(coeff, tuple(names), "degrevlex")
     G = [R.parse(t) for t in basis]
     made = []
@@ -357,7 +357,18 @@ def test_state_invariants_hold_at_exit():
             assert f"pair {i} {j}" in text
 
 
-# Golden replay: the trace digest and the rendered basis of fixed systems.
+def rows_digest(dom, rows) -> str:
+    """sha256 of the rows in the ``gb --certify`` line format, newline-joined."""
+    lines = (
+        f"cofactor {dom.render(row.element)} = "
+        + " + ".join(f"({dom.render(v)})*g{k}" for k, v in row.cofactors.items())
+        for row in rows
+    )
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+# Golden replay: the trace digest, the rendered basis and the rows digest
+# (``rows_digest``) of fixed systems.
 # The digests were re-pinned when completion began to skip the pairs the
 # checker skips (equal sides, the product criterion); that changed the
 # katsura3 and cyclic4 bases and left the z24, z360 (Z/360Z[x,y]) and zxyz
@@ -396,6 +407,7 @@ GOLDEN = {
             "55/63*d^4 - 1810/5103*d^3 + 185/5103*b*d + 1315/13122*c*d + 1030/15309*d^2"
             " - 65/61236*b - 1945/183708*c - 235/15309*d",
         ),
+        "cbd223771579351ccf47f9537d2e0c951e4518559b9036c1a2aa10c7b5064267",
     ),
     "cyclic4": (
         Q,
@@ -419,6 +431,7 @@ GOLDEN = {
             "c^3*d^2 + c^2*d^3 - c - d",
             "-c^2*d^4 - b*c + b*d - c*d + 2*d^2",
         ),
+        "1f42a024780f56e3448d0f8d310fab998e47579c41a48f473259644b0b75f581",
     ),
     "z24": (
         make_integer_quotient_domain(24),
@@ -426,6 +439,7 @@ GOLDEN = {
         ("4*x^2 + y", "6*x*y"),
         "efe834a10d4c7792e4b11f3e4d90892e53f0029a206c2a88f3ae2d119139fb28",
         ("4*x^2 + y", "6*x*y", "2*x^2*y + 5*y^2", "3*y^2", "23*x^2*y^2 + 2*y^3"),
+        "1b8c2f6866c29bd457d97b2816e9532f52306c7392c0a47352fc924f50034cf2",
     ),
     "z360": (
         make_integer_quotient_domain(360),
@@ -446,6 +460,7 @@ GOLDEN = {
             "357*y + 310",
             "353",
         ),
+        "4d3371ecf09dcbbbc888841c61dc20c47dfa383fbf91f10876eefd751680b4a4",
     ),
     "zxyz": (
         Z,
@@ -470,18 +485,20 @@ GOLDEN = {
             "-3*x*z^4 + y^3*z - x*y^2 + 2*z^3 + 3*y*z + x",
             "y^4*z + 3*z^5 - x*y^3 - y*z^3 + y^2*z + 3*x*z^2 - 2*x*y",
         ),
+        "a27e023042b897bb508d1648e0fc78d45d4098976ed76b8251b1112bfe934403",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_replay(name):
-    coeff, names, texts, digest, basis = GOLDEN[name]
+    coeff, names, texts, digest, basis, rows = GOLDEN[name]
     R = make_poly_domain(coeff, tuple(names), "degrevlex")
     gens = [R.parse(t) for t in texts]
     res = gb(R, gens)
     assert tuple(R.render(g) for g in res.basis) == basis
     assert res.trace.digest() == digest
+    assert rows_digest(R, res.rows) == rows
     assert verify_cofactors(R, res.rows, gens)
 
 
@@ -507,6 +524,9 @@ def test_cyclic5_replay():
     assert hashlib.sha256(rendered).hexdigest() == (
         "8bf29ca59aa7e8f8e3d67c372f3b82305b91f56d263cc39c7911cd454b923fcc"
     )
+    assert rows_digest(R, res.rows) == (
+        "6f96d2883f5ff4a592829e5fdc7462a87e928ae1c740b537af082f47c1bb84a1"
+    )
     assert (len(res.basis), trace.pairs_processed, trace.critical_pairs_reduced) == (42, 154, 112)
     reasons = Counter(r[3] for r in trace.records if r[0] == "prune")
     assert reasons == {"chain-criterion": 712, "product-criterion": 37}
@@ -514,7 +534,7 @@ def test_cyclic5_replay():
 
 @pytest.mark.parametrize("cap", [{"max_pairs": 10}, {"max_steps": 1}], ids=["pairs", "steps"])
 def test_stopped_completion_keeps_its_trace(cap):
-    coeff, names, texts, _digest, _basis = GOLDEN["cyclic4"]
+    coeff, names, texts, _digest, _basis, _rows = GOLDEN["cyclic4"]
     R = make_poly_domain(coeff, tuple(names), "degrevlex")
     gens = [R.parse(t) for t in texts]
     full = gb(R, gens).trace.to_text()
@@ -773,7 +793,7 @@ def test_pair_set_agrees_with_the_mntcr_pair_set(name, chain):
 
 
 def test_pair_set_makes_no_mntcrs_call(monkeypatch):
-    coeff, names, _texts, _digest, basis = GOLDEN["cyclic4"]
+    coeff, names, _texts, _digest, basis, _rows = GOLDEN["cyclic4"]
     R = make_poly_domain(coeff, tuple(names), "degrevlex")
     G = [R.parse(t) for t in basis]
     calls = []
@@ -819,7 +839,7 @@ def test_checker_rejects_pinned_non_bases(coeff, names, texts):
 
 
 def test_checker_rejects_katsura3_without_last_element():
-    coeff, names, _texts, _digest, basis = GOLDEN["katsura3"]
+    coeff, names, _texts, _digest, basis, _rows = GOLDEN["katsura3"]
     R = make_poly_domain(coeff, tuple(names), "degrevlex")
     G = [R.parse(t) for t in basis]
     assert is_groebner_basis(R, G)
@@ -829,7 +849,7 @@ def test_checker_rejects_katsura3_without_last_element():
 def test_checker_skips_pairs_that_provably_join(monkeypatch):
     import redring.buchberger as engine
 
-    coeff, names, texts, _digest, _basis = GOLDEN["cyclic4"]
+    coeff, names, texts, _digest, _basis, _rows = GOLDEN["cyclic4"]
     R = make_poly_domain(coeff, tuple(names), "degrevlex")
     G = gb(R, [R.parse(t) for t in texts]).basis
     calls = []
@@ -871,7 +891,7 @@ def record_formed_pairs(monkeypatch) -> list:
     ],
 )
 def test_checker_forms_no_self_pair_at_one_index(name, subject, monkeypatch):
-    coeff, names, _texts, _digest, basis = GOLDEN[name]
+    coeff, names, _texts, _digest, basis, _rows = GOLDEN[name]
     R = make_poly_domain(coeff, tuple(names), "degrevlex")
     G = [R.parse(t) for t in basis]
     formed = record_formed_pairs(monkeypatch)
