@@ -239,15 +239,15 @@ _discard = deque(maxlen=0).append
 def _walk(dom: Domain, basis: list, emit, chain: bool, max_steps: int, max_pairs: float):
     """Walk the critical pairs of the growing basis, appending each nonzero h to it.
 
-    Yields, once h is appended, its combination {pos: m} over basis
-    positions: h = sum(m * basis[pos]).  h's pairs join the pair set only
-    when the walk is resumed, so the finite criterion stops at the first
-    yield.  ``chain`` switches the chain-criterion prunes (module
-    docstring); each trace record (``GBTrace``) goes to ``emit``.  Popping
-    pair number max_pairs + 1 raises ``NonTerminationError``.  A
-    ``NonTerminationError`` or ``ContractViolationError`` raised while a
-    pair is formed or reduced leaves with ``at pair i j with K basis
-    elements`` added to its message.
+    Yields, once h is appended, its step list [(pos, m), ...] over basis
+    positions, as a normal form returns them: h = sum(m * basis[pos]).  h's
+    pairs join the pair set only when the walk is resumed, so the finite
+    criterion stops at the first yield.  ``chain`` switches the
+    chain-criterion prunes (module docstring); each trace record
+    (``GBTrace``) goes to ``emit``.  Popping pair number max_pairs + 1
+    raises ``NonTerminationError``.  A ``NonTerminationError`` or
+    ``ContractViolationError`` raised while a pair is formed or reduced
+    leaves with ``at pair i j with K basis elements`` added to its message.
     """
     pairs = PairSet(dom, basis, chain)
 
@@ -290,19 +290,12 @@ def _walk(dom: Domain, basis: list, emit, chain: bool, max_steps: int, max_pairs
                 if not h:
                     emit(("h",))
                     continue
-                # h = -m1*basis[i] + m2*basis[j] - sum(steps1) + sum(steps2),
-                # the z contributions cancel exactly
-                combination: dict = {}
-                _add_into(dom, combination, i, dom.neg(m1))
-                _add_into(dom, combination, j, m2)
-                for pos, m in steps1:
-                    _add_into(dom, combination, pos, dom.neg(m))
-                for pos, m in steps2:
-                    _add_into(dom, combination, pos, m)
                 new = len(basis)
                 basis.append(h)
                 emit(("add", new, h))
-                yield combination
+                # h = -m1*basis[i] + m2*basis[j] - sum(steps1) + sum(steps2),
+                # the z contributions cancel exactly
+                yield [(i, dom.neg(m1)), (j, m2), *((p, dom.neg(m)) for p, m in steps1), *steps2]
                 enqueue(new)
         except (NonTerminationError, ContractViolationError) as exc:
             exc.args = (f"{exc} at pair {i} {j} with {len(basis)} basis elements",)
@@ -322,25 +315,31 @@ def gb(
 
     Returns the basis (input's nonzero elements as a prefix), one cofactor
     row per appended element, and the trace.  Zero generators are dropped up
-    front.  ``chain_criterion`` switches the chain-criterion prunes of the
-    pair set (module docstring) alone; the other rules always apply.  A
+    front.  A row is composed from h's step list (``_walk``): a generator is
+    its own row, and an appended element's summed multiplier scales its row.
+    ``chain_criterion`` switches the chain-criterion prunes of the pair set
+    (module docstring) alone; the other rules always apply.  A
     ``NonTerminationError`` (the pair cap or a reduction's step cap) or
     ``ContractViolationError`` leaves with the trace so far as ``exc.trace``.
     """
-    kept = [(k, g) for k, g in enumerate(generators) if g]
-    basis = [g for _, g in kept]
-    # cofactor rows over original generator positions, one per basis element
-    basis_rows: list = [{orig: dom.one} for orig, _ in kept]
+    kept = [k for k, g in enumerate(generators) if g]  # basis position -> original index
+    basis = [generators[k] for k in kept]
+    n = len(kept)
     rows_out: list = []
     trace = GBTrace(dom)
     try:
-        for combination in _walk(dom, basis, trace.emit, chain_criterion, max_steps, max_pairs):
+        for steps in _walk(dom, basis, trace.emit, chain_criterion, max_steps, max_pairs):
+            sums: dict = {}
+            for pos, m in steps:
+                _add_into(dom, sums, pos, m)
             row: dict = {}
-            for pos, mult in combination.items():
-                for orig, base_mult in basis_rows[pos].items():
-                    _add_into(dom, row, orig, dom.mul(mult, base_mult))
+            for pos, m in sums.items():
+                if pos < n:  # a generator is its own row
+                    _add_into(dom, row, kept[pos], m)
+                else:
+                    for orig, base in rows_out[pos - n].cofactors.items():
+                        _add_into(dom, row, orig, dom.mul(m, base))
             row = {orig: v for orig, v in sorted(row.items()) if v}
-            basis_rows.append(row)
             rows_out.append(CofactorRow(basis[-1], row))
         for g in basis:
             trace.emit(("final", g))

@@ -47,11 +47,11 @@ def _head_reduce(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Textbook multivariate division: cancel divisible heads, move the rest out."""
     ring = p.ring
     remainder = ring.zero
-    while not p.is_zero:
+    while p:
         lead = p.leading_monomial()
         hit = None
         for g in basis:
-            if not g.is_zero and pp_divides(g.leading_pp(), lead.pp):
+            if g and pp_divides(g.leading_pp(), lead.pp):
                 hit = g
                 break
         if hit is None:
@@ -66,7 +66,7 @@ def _head_reduce(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
 
 
 def _monic(p: Polynomial) -> Polynomial:
-    if p.is_zero:
+    if not p:
         return p
     inv = 1 / p.leading_coeff()
     return mono_mul(Monomial(inv, (0,) * p.ring.nvars), p)
@@ -81,7 +81,7 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def classical_buchberger_oracle(system: Sequence[Polynomial]) -> list:
     """A plain S-polynomial Buchberger loop over field coefficients."""
-    basis = [_monic(f) for f in system if not f.is_zero]
+    basis = [_monic(f) for f in system if f]
     if not basis:
         return []
     ring = basis[0].ring
@@ -93,7 +93,7 @@ def classical_buchberger_oracle(system: Sequence[Polynomial]) -> list:
         i, j = pairs.pop(0)
         s = _spoly(basis[i], basis[j])
         r = _head_reduce(s, basis)
-        if not r.is_zero:
+        if r:
             basis.append(_monic(r))
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     return basis

@@ -553,7 +553,7 @@ class PolyRing(Domain):
 
     def monic(self, p: Polynomial) -> Polynomial:
         """Scale by the inverse leading coefficient; field coefficients only."""
-        if p.is_zero:
+        if not p:
             return p
         lc = p.leading_coeff()
         inv = self.coeff.find_multiplier(self.coeff.one, lc, self.multiplier_indices[0])
@@ -567,7 +567,7 @@ class PolyRing(Domain):
 
     # syntax
     def render(self, p: Polynomial) -> str:
-        if p.is_zero:
+        if not p:
             return self.coeff.render(self.coeff.zero)
         parts = []
         for coeff, pp in p.terms:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from collections import Counter, deque
 from fractions import Fraction
@@ -10,6 +11,7 @@ from redring.buchberger import (
     CofactorRow,
     GBTrace,
     PairSet,
+    _walk,
     critical_pair,
     gb,
     ideal_congruence_holds,
@@ -18,6 +20,7 @@ from redring.buchberger import (
     verify_cofactors,
 )
 from redring.core import (
+    DEFAULT_STEP_BOUND,
     ContractViolationError,
     NonTerminationError,
     normal_form,
@@ -501,6 +504,22 @@ def test_golden_replay(name):
     assert rows_digest(R, res.rows) == rows
     assert verify_cofactors(R, res.rows, gens)
 
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_walk_yields_the_steps_that_make_each_appended_element(name):
+    coeff, names, texts, _digest, basis, _rows = GOLDEN[name]
+    R = make_poly_domain(coeff, tuple(names), "degrevlex")
+    G = [R.parse(t) for t in texts]
+    yielded = 0
+    for steps in _walk(R, G, [].append, True, DEFAULT_STEP_BOUND, math.inf):
+        acc = R.zero
+        for pos, m in steps:
+            assert 0 <= pos < len(G) - 1  # only elements before h
+            acc = R.add(acc, R.mul(m, G[pos]))
+        assert acc == G[-1]
+        yielded += 1
+    assert yielded == len(basis) - len(texts)
 
 def cyclic(names) -> list:
     """The cyclic-n system in the variables names, as text."""

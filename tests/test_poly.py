@@ -249,6 +249,44 @@ def ref_find_multiplier(R, f, g, index):
     return None
 
 
+def ref_mntcrs(R, g1, i1, g2, i2):
+    """The mntcrs of g1 at i1 and g2 at i2, one c*x^lcm per shadow pair and
+    coefficient mntcr, first occurrences in order.
+
+    At "ann" the shadows are the cascade m0*g, m0'*m0*g, ... (each m0 the
+    annihilator of the current lead, built with ``ref_mono_mul``) and the
+    coefficient mntcrs are taken at the first coefficient index.
+    """
+    if g1.is_zero or g2.is_zero:
+        return []
+    zero_pp = (0,) * R.nvars
+
+    def shadows(g, index):
+        if index != "ann":
+            return [g]
+        out, current = [], g
+        while not current.is_zero:
+            m0 = R.coeff.annihilator(current.leading_coeff())
+            if m0 is None:
+                break
+            current = ref_mono_mul(R, m0, zero_pp, current)
+            if not current.is_zero:
+                out.append(current)
+        return out
+
+    first = R.coeff.multiplier_indices[0]
+    ci1, ci2 = (first if i == "ann" else i for i in (i1, i2))
+    out = []
+    for e1 in shadows(g1, i1):
+        for e2 in shadows(g2, i2):
+            lcm = pp_lcm(e1.leading_pp(), e2.leading_pp())
+            for c in R.coeff.mntcrs(e1.leading_coeff(), ci1, e2.leading_coeff(), ci2):
+                z = R.poly([(c, lcm)])
+                if z not in out:
+                    out.append(z)
+    return out
+
+
 class TestSortedArithmeticDifferential:
     """The merge and no-re-sort paths against references built by R.poly()."""
 
@@ -325,6 +363,26 @@ class TestSortedArithmeticDifferential:
                         assert got is None
                     else:
                         assert got.terms == want.terms
+
+    def test_mntcrs_match_reference_at_every_index_pair(self):
+        rng = random.Random(83)
+        nonempty_at_ann = 0
+        for n in (24, 72, 360):
+            for kind in ("lex", "degrevlex"):
+                R = make_poly_domain(make_integer_quotient_domain(n), ("x", "y"), kind)
+                assert "ann" in R.multiplier_indices
+                for _ in range(60):
+                    g1 = random_poly(rng, R, rng.randint(1, 4))
+                    g2 = random_poly(rng, R, rng.randint(1, 4))
+                    for i1 in R.multiplier_indices:
+                        for i2 in R.multiplier_indices:
+                            got = R.mntcrs(g1, i1, g2, i2)
+                            assert got == ref_mntcrs(R, g1, i1, g2, i2), (n, kind, i1, i2)
+                            for z in got:
+                                assert ref_find_multiplier(R, z, g1, i1) is not None
+                                assert ref_find_multiplier(R, z, g2, i2) is not None
+                            nonempty_at_ann += bool(got) and "ann" in (i1, i2)
+        assert nonempty_at_ann > 0
 
     def test_checks_still_raise(self):
         R = make_poly_domain(Q, ("x", "y"), "degrevlex")
