@@ -364,10 +364,10 @@ def member_ideal(dom: Domain, a, basis: Sequence, *, max_steps: int = DEFAULT_ST
     """Whether a totally reduces to zero modulo the basis.
 
     Decides ideal membership when the basis is a Groebner basis, which
-    ``is_groebner_basis`` checks.
+    ``is_groebner_basis`` checks.  The verdict reads h alone, so the normal
+    form keeps no steps and builds no multiplier (``Domain.normal_form``).
     """
-    h, _ = normal_form(dom, a, basis, max_steps)
-    return not h
+    return not dom.normal_form(a, basis, max_steps, None)
 
 
 def ideal_congruence_holds(dom: Domain, a, b, basis: Sequence) -> bool:

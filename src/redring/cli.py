@@ -39,7 +39,6 @@ from .core import (
     Domain,
     NonTerminationError,
     check_axioms,
-    normal_form,
 )
 from .poly import TermOrder, make_poly_domain
 from .scalars import (
@@ -231,7 +230,7 @@ def _cmd_member(args) -> int:
     basis = _complete(dom, gens, args).basis
     verdicts = []
     for probe in probes:
-        h, _ = normal_form(dom, probe, basis, args.max_steps)
+        h = dom.normal_form(probe, basis, args.max_steps, None)
         verdicts.append((probe, not h, h))
     if args.json:
         rendered = [

@@ -61,11 +61,14 @@ class Domain:
 
     ``enumerate_carrier`` returns the full carrier for finite domains and
     None otherwise; ``carrier_size`` gives its length without building it
-    where the domain knows it.  ``normal_form(a, basis, max_steps)`` totally
-    reduces a; the default repeats ``reduce_step``, and a domain may
-    override it with a faster rule that keeps the results' meaning
-    (``core.normal_form``).  ``canonical_associate`` picks the display
-    representative of an element's associates (``redring gb --monic``).
+    where the domain knows it.  ``normal_form(a, basis, max_steps, steps)``
+    totally reduces a and returns the irreducible h; when steps is a list
+    it appends each step (pos, m) to it, and when steps is None it builds
+    no multiplier m, which is all ``member_ideal`` needs.  The default
+    repeats ``reduce_step``, and a domain may override it with a faster
+    rule that keeps the results' meaning (``core.normal_form``).
+    ``canonical_associate`` picks the display representative of an
+    element's associates (``redring gb --monic``).
     Three optional hooks stay None where the domain has no sound, cheap
     answer: ``field_lead(c)``, the lead power product of c where c reduces
     exactly the terms whose power product it divides, which polynomial
@@ -123,18 +126,20 @@ class Domain:
         carrier = self.enumerate_carrier()
         return None if carrier is None else len(carrier)
 
-    def normal_form(self, a, basis: Sequence, max_steps: int) -> tuple:
+    def normal_form(self, a, basis: Sequence, max_steps: int, steps: Optional[list]):
         """``core.normal_form`` by repeated ``reduce_step``: the generic rule, kept by scalars."""
-        steps: list = []
+        taken = 0
         current = a
         while True:
             step = reduce_step(self, current, basis)
             if step is None:
-                return current, steps
-            if len(steps) == max_steps:
+                return current
+            if taken == max_steps:
                 raise step_cap_exceeded(self, a, max_steps)
+            taken += 1
             current, pos, m = step
-            steps.append((pos, m))
+            if steps is not None:
+                steps.append((pos, m))
 
     def canonical_associate(self, a):
         """The canonical display form of a's class of associates.
@@ -195,9 +200,12 @@ def normal_form(
     so a - h is the sum of the m*basis[pos].  At most ``max_steps`` steps
     are taken; a that needs one more raises ``NonTerminationError``.  Which
     steps are taken is the domain's rule: the generic one of
-    ``Domain.normal_form``, or top-down on polynomial rings.
+    ``Domain.normal_form``, or top-down on polynomial rings.  A caller that
+    reads no step calls ``dom.normal_form(a, basis, max_steps, None)``
+    instead, which returns h alone and takes the same steps.
     """
-    return dom.normal_form(a, basis, max_steps)
+    steps: list = []
+    return dom.normal_form(a, basis, max_steps, steps), steps
 
 
 def project_reduction_relation(dom: Domain, basis: Sequence, universe: Iterable) -> FiniteRelation:

@@ -2,9 +2,10 @@
 
 ``PolyRing.normal_form`` runs ``normal_form`` here where the coefficient
 domain offers the ``integer_image`` hook (the rationals).  It takes the
-steps of the top-down loop and returns the same h and steps, exactly, but
-does its arithmetic on integers: the loop over ``Fraction`` coefficients
-spends most of its time normalising each sum and product through a gcd.
+steps of the top-down loop and returns the same h exactly, and appends
+the same steps when the caller keeps them, but does its arithmetic on
+integers: the loop over ``Fraction`` coefficients spends most of its time
+normalising each sum and product through a gcd.
 The method is pseudo-division with primitive parts (Knuth, *The Art of
 Computer Programming* vol. 2, section 4.6.1).
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from math import gcd
 from operator import add as _add_exps, le as _le, sub as _sub_exps
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .core import step_cap_exceeded
 from .poly import Monomial, Polynomial, _new_tuple
@@ -71,7 +72,7 @@ def _fused_step(r: list, i: int, s: int, t: int, q: tuple, tail: tuple, rank, de
     return out
 
 
-def normal_form(ring, a: Polynomial, basis: Sequence, max_steps: int) -> tuple:
+def normal_form(ring, a: Polynomial, basis: Sequence, max_steps: int, steps: Optional[list]) -> Polynomial:
     """``PolyRing.normal_form`` over the rationals, on integer numerators.
 
     The steps are those of the top-down loop: over a field the first
@@ -85,8 +86,10 @@ def normal_form(ring, a: Polynomial, basis: Sequence, max_steps: int) -> tuple:
         R/D - C*d/(D*L) * x^q * g = ((L/e)*R - (C/e)*x^q*(L*x^lpp + tail)) / (D*L/e)
 
     whose lead cancels, so the merge skips it and D grows by L/e > 0.  The
-    multiplier is recorded as ratio(C*d, D*L) and a settled term as
-    ratio(C, D): the exact values the loop over ``Fraction`` gives.  Once D
+    multiplier is appended to steps as ratio(C*d, D*L), and a settled term
+    is built as ratio(C, D): the exact values the loop over ``Fraction``
+    gives.  When steps is None no multiplier is built, which saves a
+    ``Fraction`` (a gcd) and a one-term polynomial per step.  Once D
     passes 2**64, the gcd of D and R's integers is divided out of both, and
     again each time D has grown by another factor of 2**64: the gcd costs a
     pass over R, and on katsura6 trying it after every step cost more than
@@ -95,7 +98,7 @@ def normal_form(ring, a: Polynomial, basis: Sequence, max_steps: int) -> tuple:
     reducers = [(pos, g.terms[0].pp, g) for pos, g in enumerate(basis) if g]
     ratio = ring.coeff.ratio
     rank, descending = ring.order.rank, ring.order.descending
-    steps: list = []
+    taken = 0
     done: list = []  # the settled terms, once a step has been taken
     limit = 1 << 64  # D above it: divide out the content
     r, i, D = a.terms, 0, None  # r[:i] is settled; D is None before the first step
@@ -110,8 +113,9 @@ def normal_form(ring, a: Polynomial, basis: Sequence, max_steps: int) -> tuple:
                 done.append(mono or _new_tuple(Monomial, (ratio(n, D), pp)))
             i += 1
             continue
-        if len(steps) == max_steps:
+        if taken == max_steps:
             raise step_cap_exceeded(ring, a, max_steps)
+        taken += 1
         if D is None:
             done += r[:i]
             ns, D = ring.coeff.integer_image([m.coeff for m in r[i:]])
@@ -119,7 +123,8 @@ def normal_form(ring, a: Polynomial, basis: Sequence, max_steps: int) -> tuple:
         C = r[i][1]
         L, d, tail = _image(ring, g)
         q = tuple(map(_sub_exps, pp, lpp))
-        steps.append((pos, ring._term(ratio(C * d, D * L), q)))
+        if steps is not None:
+            steps.append((pos, ring._term(ratio(C * d, D * L), q)))
         e = gcd(C, L) if L > 0 else -gcd(C, L)
         s = L // e
         r, i = _fused_step(r, i + 1, s, C // e, q, tail, rank, descending), 0
@@ -131,5 +136,5 @@ def normal_form(ring, a: Polynomial, basis: Sequence, max_steps: int) -> tuple:
                 r = [(rr, n // content, mono, pp) for rr, n, mono, pp in r]
             limit = D << 64
     if D is None:
-        return Polynomial(ring, a.terms), steps
-    return Polynomial(ring, tuple(done)), steps
+        return Polynomial(ring, a.terms)
+    return Polynomial(ring, tuple(done))

@@ -472,7 +472,7 @@ class PolyRing(Domain):
                 return self._term(mc if scalar is None else self.coeff.mul(mc, scalar), q)
         return None
 
-    def normal_form(self, a: Polynomial, basis: Sequence, max_steps: int) -> tuple:
+    def normal_form(self, a: Polynomial, basis: Sequence, max_steps: int, steps: Optional[list]) -> Polynomial:
         """Totally reduce a modulo the basis, top-down.
 
         The terms are walked from the top.  The current term is rewritten
@@ -480,8 +480,9 @@ class PolyRing(Domain):
         the first shadow and coefficient index (``_reducers``), that
         reduces it: one ``_scale`` and one ``_merge`` turn the unsettled
         part r into r + (-mc)*x^q*g', where g' is g or, at "ann", the
-        shadow scalar*g, and the step is recorded as (pos, mc*x^q) or
-        (pos, mc*scalar*x^q), a multiplier of basis[pos] itself.  A term
+        shadow scalar*g, and the step is appended to steps as (pos, mc*x^q)
+        or (pos, mc*scalar*x^q), a multiplier of basis[pos] itself, unless
+        steps is None: then that multiplier is never built.  A term
         that no pair reduces is settled and never probed again.  Over Z and
         Z/nZ the rewritten term may stay at the same power product (a
         Euclidean remainder, a smaller residue); it is then probed again.
@@ -502,10 +503,10 @@ class PolyRing(Domain):
         steps run on integer numerators (``fraction_free.normal_form``).
         """
         if self.coeff.integer_image is not None:
-            return _fraction_free_normal_form(self, a, basis, max_steps)
+            return _fraction_free_normal_form(self, a, basis, max_steps, steps)
         reducers = [(pos, row) for pos, g in enumerate(basis) if g for row in self._reducers(g)]
         find, mul, neg = self.coeff.find_multiplier, self.coeff.mul, self.coeff.neg
-        steps: list = []
+        taken = 0
         h, k = a.terms, 0  # h[:k] is settled
         while k < len(h):
             c, pp = h[k]
@@ -517,12 +518,14 @@ class PolyRing(Domain):
             else:
                 k += 1
                 continue
-            if len(steps) == max_steps:
+            if taken == max_steps:
                 raise step_cap_exceeded(self, a, max_steps)
+            taken += 1
             q = tuple(map(_sub_exps, pp, lpp))
-            steps.append((pos, self._term(mc if scalar is None else mul(mc, scalar), q)))
+            if steps is not None:
+                steps.append((pos, self._term(mc if scalar is None else mul(mc, scalar), q)))
             h = h[:k] + self._merge(h[k:], self._scale(neg(mc), q, g_terms), False)
-        return Polynomial(self, h), steps
+        return Polynomial(self, h)
 
     def mntcrs(self, g1: Polynomial, i1, g2: Polynomial, i2) -> list:
         if not (g1 and g2):
@@ -631,8 +634,8 @@ class PolyRing(Domain):
             if exps is None:
                 c, exps = None, [0] * self.nvars  # c stays None until a factor is read
             if num:
-                literal = num if den is None else f"{num}/{den}"
-                c = coeff.mul(coeff.one if c is None else c, coeff.parse(literal))
+                value = coeff.parse(num if den is None else f"{num}/{den}")
+                c = value if c is None else coeff.mul(c, value)
             elif name:
                 col = m.start(4) + 1
                 if name not in names:

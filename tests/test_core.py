@@ -157,9 +157,14 @@ def test_step_cap_allows_exactly_max_steps(ring):
     n = len(steps)
     assert n >= 2
     assert normal_form(dom, a, basis, max_steps=n) == (h, steps)
-    with pytest.raises(NonTerminationError, match=f"within {n - 1} steps"):
+    with pytest.raises(NonTerminationError, match=f"within {n - 1} steps") as kept:
         normal_form(dom, a, basis, max_steps=n - 1)
     assert normal_form(dom, h, basis, max_steps=0) == (h, [])
+    # the hook with no step list takes the same steps under the same cap
+    assert dom.normal_form(a, basis, n, None) == h
+    with pytest.raises(NonTerminationError) as stepless:
+        dom.normal_form(a, basis, n - 1, None)
+    assert str(stepless.value) == str(kept.value)
     # one step settles 5 modulo 2 over Q
     assert normal_form(Q, Fraction(5), [Fraction(2)], max_steps=1) == (0, [(0, Fraction(5, 2))])
 

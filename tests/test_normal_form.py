@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from redring.buchberger import gb
+from redring.buchberger import gb, member_ideal
 from redring.core import DEFAULT_STEP_BOUND, Domain, NonTerminationError, normal_form
 from redring.poly import make_poly_domain
 from redring.scalars import (
@@ -71,6 +71,16 @@ def test_top_down_normal_form_keeps_its_contract(name, order):
             current, combination = after, combination + m * basis[pos]
         assert current == h, shown
         assert a - h == combination, shown
+        # with no step list: the same h within as many steps, the same
+        # message at a lower cap
+        assert R.normal_form(a, basis, len(steps), None) == h, shown
+        if steps:
+            cap = rng.randrange(len(steps))
+            with pytest.raises(NonTerminationError) as kept:
+                R.normal_form(a, basis, cap, [])
+            with pytest.raises(NonTerminationError) as stepless:
+                R.normal_form(a, basis, cap, None)
+            assert str(kept.value) == str(stepless.value), shown
 
 
 @pytest.mark.parametrize("order", ["lex", "degrevlex"])
@@ -88,8 +98,8 @@ def test_member_verdicts_agree_with_the_generic_loop(name, order):
             combination = combination + random_poly(rng, R, 2, 9) * g
         for p in (combination, random_poly(rng, R, 4, 30), combination + random_poly(rng, R, 1, 9)):
             top_down = not normal_form(R, p, G)[0]
-            generic = not Domain.normal_form(R, p, G, DEFAULT_STEP_BOUND)[0]
-            assert top_down == generic, (R.render(p), [R.render(g) for g in G])
+            generic = not Domain.normal_form(R, p, G, DEFAULT_STEP_BOUND, [])
+            assert top_down == generic == member_ideal(R, p, G), (R.render(p), [R.render(g) for g in G])
             verdicts.append(top_down)
     assert True in verdicts and False in verdicts
 
@@ -127,15 +137,18 @@ def test_fraction_free_normal_form_matches_the_fraction_loop(order):
         size, den = (2**40, 2**20) if trial % 4 == 0 else (50, 30)
         a = random_rational_poly(rng, R, 8, size, den)
         shown = (R.render(a), [R.render(g) for g in basis])
-        h, steps = R.normal_form(a, basis, DEFAULT_STEP_BOUND)
-        assert (h, steps) == reference.normal_form(a, basis, DEFAULT_STEP_BOUND), shown
+        h, steps = normal_form(R, a, basis)
+        assert (h, steps) == normal_form(reference, a, basis), shown
+        assert R.normal_form(a, basis, DEFAULT_STEP_BOUND, None) == h, shown
         if steps:
             cap = rng.randrange(len(steps))
             with pytest.raises(NonTerminationError) as fraction_free:
-                R.normal_form(a, basis, cap)
+                R.normal_form(a, basis, cap, [])
+            with pytest.raises(NonTerminationError) as stepless:
+                R.normal_form(a, basis, cap, None)
             with pytest.raises(NonTerminationError) as fraction_loop:
-                reference.normal_form(a, basis, cap)
-            assert str(fraction_free.value) == str(fraction_loop.value), shown
+                reference.normal_form(a, basis, cap, [])
+            assert str(fraction_free.value) == str(stepless.value) == str(fraction_loop.value), shown
             capped += 1
     assert capped > 100
     # the scale of the unsettled part passed 2**64, where its content is divided out
@@ -151,12 +164,12 @@ def test_fraction_free_normal_form_does_no_coefficient_arithmetic(monkeypatch):
     for name in ("add", "neg", "mul", "find_multiplier"):
         real = getattr(coeff, name)
         monkeypatch.setattr(coeff, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    h, steps = R.normal_form(a, basis, DEFAULT_STEP_BOUND)
+    h, steps = normal_form(R, a, basis)
     assert len(steps) >= 5
     assert calls == []
     monkeypatch.undo()
     reference = make_poly_domain(FractionLoopQ(), R.names, "degrevlex")
-    assert (h, steps) == reference.normal_form(a, basis, DEFAULT_STEP_BOUND)
+    assert (h, steps) == normal_form(reference, a, basis)
 
 
 @pytest.mark.parametrize("name", ["z", "zmod24", "zmod360"])
@@ -169,5 +182,40 @@ def test_ring_coefficients_take_the_top_down_loop(name, monkeypatch):
     calls = []
     real = coeff.find_multiplier
     monkeypatch.setattr(coeff, "find_multiplier", lambda *args: calls.append(args) or real(*args))
-    _h, steps = R.normal_form(a, basis, DEFAULT_STEP_BOUND)
+    _h, steps = normal_form(R, a, basis)
     assert steps and len(calls) >= len(steps)
+
+
+# (coefficients, variables, generators, cofactors): the probe is the sum of
+# cofactor times basis element, a member that reduces to zero in 3 or more steps
+MEMBER_PROBES = {
+    "q": (
+        make_field_domain,
+        ("x", "y", "z"),
+        ["3*x^2 - 2/5*y*z + 1", "-7/2*y^2 + x*z - 4", "5*z^2 - x"],
+        ["2/3*x*y", "y - 1/4"],
+    ),
+    "zmod24": (lambda: make_integer_quotient_domain(24), ("x", "y"), ["4*x^2 + y", "6*x*y"], ["x*y + 5", "x"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBER_PROBES))
+def test_member_ideal_builds_no_step_multiplier(name, monkeypatch):
+    make_coeff, names, gens, cofactors = MEMBER_PROBES[name]
+    coeff = make_coeff()
+    R = make_poly_domain(coeff, names, "degrevlex")
+    G = gb(R, [R.parse(t) for t in gens]).basis
+    probe = R.zero
+    for t, g in zip(cofactors, G):
+        probe = probe + R.parse(t) * g
+    calls = []
+    counted = [(R, "_term")] + ([(coeff, "ratio")] if name == "q" else [])
+    for obj, attr in counted:
+        real = getattr(obj, attr)
+        monkeypatch.setattr(obj, attr, lambda *args, real=real, attr=attr: calls.append(attr) or real(*args))
+    assert member_ideal(R, probe, G)
+    assert calls == []
+    h, steps = normal_form(R, probe, G)
+    assert not h and len(steps) >= 3
+    for _obj, attr in counted:
+        assert calls.count(attr) >= 3, attr

@@ -552,6 +552,19 @@ class TestSyntax:
         ]:
             assert R.render(R.parse(text)) == rendered, text
 
+    def test_parser_takes_a_first_literal_as_parsed(self, monkeypatch):
+        coeff = make_field_domain()
+        R = make_poly_domain(coeff, ("x", "y", "z"), "degrevlex")
+        calls = []
+        real = coeff.mul
+        monkeypatch.setattr(coeff, "mul", lambda *args: calls.append(args) or real(*args))
+        p = R.parse("3*x^2 - 2/5*y*z + 1")
+        assert calls == []
+        assert p.terms == ((3, (2, 0, 0)), (Fraction(-2, 5), (0, 1, 1)), (1, (0, 0, 0)))
+        # a second literal in one term multiplies into the first
+        assert R.parse("2 3/7 x") == R.parse("6/7*x")
+        assert calls == [(2, Fraction(3, 7))]
+
     def test_printer_canonical_roundtrip(self):
         rng = random.Random(67)
         for coeff in (Q, Z, Z24):
