@@ -385,6 +385,9 @@ def rows_digest(dom, rows) -> str:
 # reduced; both bases stayed as they were.  Over Z and Z/nZ the pair set
 # prunes nothing, so the z24, z360 and zxyz digests did not change.  A
 # faster path that takes the same steps must leave every byte unchanged.
+# q-fractions has leading coefficients that are neither integers nor units
+# of Z: each generator is (L*x^lpp + tail)/d with d > 1 and |L| > 1, the
+# case where a path on integer numerators must scale both ways.
 GOLDEN = {
     "katsura3": (
         Q,
@@ -435,6 +438,21 @@ GOLDEN = {
             "-c^2*d^4 - b*c + b*d - c*d + 2*d^2",
         ),
         "1f42a024780f56e3448d0f8d310fab998e47579c41a48f473259644b0b75f581",
+    ),
+    "q-fractions": (
+        Q,
+        "xyz",
+        ("2/3*x^2 - 5/7*y*z + 1/2", "3/5*x*y + 4/3*z - 2", "6/5*y^2 - 3/4*x*z"),
+        "2d5bd39276984dd9824d934f1d41749b33a746e966fa907421bd05bc59edb91f",
+        (
+            "2/3*x^2 - 5/7*y*z + 1/2",
+            "3/5*x*y + 4/3*z - 2",
+            "6/5*y^2 - 3/4*x*z",
+            "75/112*x*z^2 + 20/9*x*z - 10/3*x - 3/4*y",
+            "-75/112*y*z^2 - 20/9*y*z + 10/3*y + 15/32*z",
+            "-20/9*z^3 - 7/10*x*z - 982/243*z^2 + 1792/81*z - 448/27",
+        ),
+        "673ce8f6018f9511b317bfc0efb2087ca189d409454aaafa94e4f8da575534d7",
     ),
     "z24": (
         make_integer_quotient_domain(24),
