@@ -32,17 +32,19 @@ basis and the cofactor rows keep them.  Every other pair, and the self-pair
 
 For each pair of multiplier indices, the walk takes the domain's canonical
 minimal common reducibles (mntcrs) z of the pair it pops and forms the
-critical pair of each (``critical_pair``), except where its sides are
-equal: a self-pair at one multiplier index (not even formed) or two formed
-sides that coincide.  It totally reduces both sides of every other pair
-modulo the current basis and appends the difference h of the normal forms
-when it is nonzero.  ``gb`` runs the walk to its end and keeps, for each h,
-an exact cofactor row over the original generators, all in a replayable
-trace.  ``is_groebner_basis`` (the finite criterion) runs the same walk on
-the given basis and stops at the first element it would append: the basis
-is a Groebner basis exactly when the walk appends nothing.  The mntcrs of
-pruned pairs are not re-checked for the mntcr contract; ``check_axioms``
-tests it.
+critical pair of each (``critical_pair``: one ``Domain.reduct`` per side),
+except where its sides are equal: a self-pair at one multiplier index (not
+even formed) or two formed sides that coincide.  It totally reduces both
+sides of every other pair modulo the current basis and appends the
+difference h of the normal forms when it is nonzero.  ``gb`` runs the walk
+to its end and keeps, for each h, an exact cofactor row over the original
+generators, all in a replayable trace.  ``is_groebner_basis`` (the finite
+criterion) runs the same walk on the given basis and stops at the first
+element it would append: the basis is a Groebner basis exactly when the
+walk appends nothing.  It reads neither records nor steps, so its walk
+keeps no record and its normal forms build no step multiplier.  The
+mntcrs of pruned pairs are not re-checked for the mntcr contract;
+``check_axioms`` tests it.
 """
 
 from __future__ import annotations
@@ -165,12 +167,15 @@ class GBResult(NamedTuple):
 
 
 def critical_pair(dom: Domain, z, g1, i1, g2, i2) -> tuple:
-    """(m1, a1, m2, a2): the one-step reducts a_k = z - m_k*g_k of z at i1 and i2."""
-    m1 = dom.find_multiplier(z, g1, i1)
-    m2 = dom.find_multiplier(z, g2, i2)
-    if m1 is None or m2 is None:
+    """(m1, a1, m2, a2): the one-step reducts a_k = z - m_k*g_k of z at i1 and i2.
+
+    Each side is one ``dom.reduct`` call.
+    """
+    side1 = dom.reduct(z, g1, i1)
+    side2 = dom.reduct(z, g2, i2)
+    if side1 is None or side2 is None:
         raise ContractViolationError(f"mntcr {dom.render(z)} is not reducible by both generators")
-    return m1, dom.sub(z, dom.mul(m1, g1)), m2, dom.sub(z, dom.mul(m2, g2))
+    return (*side1, *side2)
 
 
 class PairSet:
@@ -244,11 +249,26 @@ def _walk(dom: Domain, basis: list, emit, chain: bool, max_steps: int, max_pairs
     pairs join the pair set only when the walk is resumed, so the finite
     criterion stops at the first yield.  ``chain`` switches the
     chain-criterion prunes (module docstring); each trace record
-    (``GBTrace``) goes to ``emit``.  Popping pair number max_pairs + 1
-    raises ``NonTerminationError``.  A ``NonTerminationError`` or
+    (``GBTrace``) goes to ``emit``.  With ``emit`` None, the finite
+    criterion's walk, no record is kept, the normal forms build no step
+    multiplier (``Domain.normal_form`` with steps None) and the walk yields
+    None.  Popping pair number max_pairs + 1 raises
+    ``NonTerminationError``.  A ``NonTerminationError`` or
     ``ContractViolationError`` raised while a pair is formed or reduced
     leaves with ``at pair i j with K basis elements`` added to its message.
     """
+    keep = emit is not None
+    if keep:
+
+        def reduce(a) -> tuple:
+            return normal_form(dom, a, basis, max_steps)
+
+    else:
+        emit = _discard
+
+        def reduce(a) -> tuple:
+            return dom.normal_form(a, basis, max_steps, None), ()
+
     pairs = PairSet(dom, basis, chain)
 
     def enqueue(new: int) -> None:
@@ -283,8 +303,8 @@ def _walk(dom: Domain, basis: list, emit, chain: bool, max_steps: int, max_pairs
                     continue
                 m1, a1, m2, a2 = sides
                 emit(("critical", a1, a2))
-                nf1, steps1 = normal_form(dom, a1, basis, max_steps)
-                nf2, steps2 = normal_form(dom, a2, basis, max_steps)
+                nf1, steps1 = reduce(a1)
+                nf2, steps2 = reduce(a2)
                 emit(("reduced", nf1, nf2, len(steps1), len(steps2)))
                 h = dom.sub(nf1, nf2)
                 if not h:
@@ -295,7 +315,11 @@ def _walk(dom: Domain, basis: list, emit, chain: bool, max_steps: int, max_pairs
                 emit(("add", new, h))
                 # h = -m1*basis[i] + m2*basis[j] - sum(steps1) + sum(steps2),
                 # the z contributions cancel exactly
-                yield [(i, dom.neg(m1)), (j, m2), *((p, dom.neg(m)) for p, m in steps1), *steps2]
+                yield (
+                    [(i, dom.neg(m1)), (j, m2), *((p, dom.neg(m)) for p, m in steps1), *steps2]
+                    if keep
+                    else None
+                )
                 enqueue(new)
         except (NonTerminationError, ContractViolationError) as exc:
             exc.args = (f"{exc} at pair {i} {j} with {len(basis)} basis elements",)
@@ -354,10 +378,13 @@ def is_groebner_basis(dom: Domain, basis: Sequence, *, max_steps: int = DEFAULT_
 
     Zero elements are dropped, as ``gb`` drops zero generators: a zero
     reduces nothing and has no mntcrs, so G is a basis exactly when its
-    nonzero part is.  The walk's records are discarded as they are made.
+    nonzero part is.  The walk keeps no record and its normal forms build
+    no step multiplier (``_walk`` with ``emit`` None).
     """
     G = [g for g in basis if g]
-    return next(_walk(dom, G, _discard, True, max_steps, math.inf), None) is None
+    for _ in _walk(dom, G, None, True, max_steps, math.inf):
+        return False  # the walk appends an element
+    return True
 
 
 def member_ideal(dom: Domain, a, basis: Sequence, *, max_steps: int = DEFAULT_STEP_BOUND) -> bool:

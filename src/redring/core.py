@@ -61,7 +61,12 @@ class Domain:
 
     ``enumerate_carrier`` returns the full carrier for finite domains and
     None otherwise; ``carrier_size`` gives its length without building it
-    where the domain knows it.  ``normal_form(a, basis, max_steps, steps)``
+    where the domain knows it.  ``reduct(a, c, index)`` is the step the
+    witness takes: (m, a - m*c) for m = ``find_multiplier(a, c, index)``,
+    or None when m is None.  Critical pairs and ``reduce_step`` form their
+    steps through it.  The default is ``sub(a, mul(m, c))``, and a domain
+    may override it with a shorter rule that gives the same values
+    (``PolyRing.reduct``).  ``normal_form(a, basis, max_steps, steps)``
     totally reduces a and returns the irreducible h; when steps is a list
     it appends each step (pos, m) to it, and when steps is None it builds
     no multiplier m, which is all ``member_ideal`` needs.  The default
@@ -78,9 +83,9 @@ class Domain:
     divisors provide and polynomial rings over them reduce through (their
     multiplier index "ann"); and ``integer_image(cs)``, which the fraction
     field of the integers provides and polynomial rings over it normal-form
-    through: the integers ns over the least positive d with cs[k] = ns[k]/d.
-    A domain with ``integer_image`` also builds the element n/d of integers
-    n and d != 0 as ``ratio(n, d)``.
+    and form their reducts through: the integers ns over the least positive
+    d with cs[k] = ns[k]/d.  A domain with ``integer_image`` also builds
+    the element n/d of integers n and d != 0 as ``ratio(n, d)``.
     """
 
     name = "domain"
@@ -114,6 +119,11 @@ class Domain:
 
     def find_multiplier(self, a, c, index):
         raise NotImplementedError
+
+    def reduct(self, a, c, index) -> Optional[tuple]:
+        """(m, a - m*c) for the ``find_multiplier`` witness m, None without one."""
+        m = self.find_multiplier(a, c, index)
+        return None if m is None else (m, self.sub(a, self.mul(m, c)))
 
     def mntcrs(self, c1, i1, c2, i2) -> list:
         raise NotImplementedError
@@ -164,18 +174,20 @@ class Domain:
 def reduce_step(dom: Domain, a, basis: Sequence) -> Optional[tuple]:
     """One reduction step of a modulo the basis, or None if a is irreducible.
 
-    Returns (b, pos, m) with b = a - m*basis[pos] strictly below a.
-    Deterministic: the first (element, index) pair in declared order whose
-    ``find_multiplier`` witness exists wins.  This is the step of the
-    generic ``Domain.normal_form``.  Polynomial rings normal-form top-down
-    instead (``PolyRing.normal_form``), so there a sequence of these steps
-    can take a different path to a different irreducible element.
+    Returns (b, pos, m) with b = a - m*basis[pos] strictly below a, as
+    ``dom.reduct`` forms it.  Deterministic: the first (element, index)
+    pair in declared order whose ``find_multiplier`` witness exists wins.
+    This is the step of the generic ``Domain.normal_form``.  Polynomial
+    rings normal-form top-down instead (``PolyRing.normal_form``), so there
+    a sequence of these steps can take a different path to a different
+    irreducible element.
     """
     for pos, c in enumerate(basis):
         for index in dom.multiplier_indices:
-            m = dom.find_multiplier(a, c, index)
-            if m is not None:
-                return dom.sub(a, dom.mul(m, c)), pos, m
+            step = dom.reduct(a, c, index)
+            if step is not None:
+                m, b = step
+                return b, pos, m
     return None
 
 

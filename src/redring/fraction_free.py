@@ -1,13 +1,16 @@
-"""The polynomial normal form over Q on integer numerators over one denominator.
+"""The polynomial normal form and reduct over Q on integer numerators.
 
-``PolyRing.normal_form`` runs ``normal_form`` here where the coefficient
-domain offers the ``integer_image`` hook (the rationals).  It takes the
-steps of the top-down loop and returns the same h exactly, and appends
-the same steps when the caller keeps them, but does its arithmetic on
-integers: the loop over ``Fraction`` coefficients spends most of its time
-normalising each sum and product through a gcd.
-The method is pseudo-division with primitive parts (Knuth, *The Art of
-Computer Programming* vol. 2, section 4.6.1).
+``PolyRing.normal_form`` runs ``normal_form`` here, and ``PolyRing.reduct``
+runs ``reduct``, where the coefficient domain offers the ``integer_image``
+hook (the rationals).  The normal form takes the steps of the top-down
+loop and returns the same h exactly, and appends the same steps when the
+caller keeps them, but does its arithmetic on integers over one
+denominator: the loop over ``Fraction`` coefficients spends most of its
+time normalising each sum and product through a gcd.  The method is
+pseudo-division with primitive parts (Knuth, *The Art of Computer
+Programming* vol. 2, section 4.6.1).  The reduct, one step that forms a
+side of a critical pair, builds one ``Fraction`` per term of the
+element's tail from integers, and none for the term that cancels.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ def _image(ring, g: Polynomial) -> tuple:
     """(L, d, tail) with g = (L*x^lpp + tail)/d, lpp g's lead power product.
 
     The tail is a tuple of (integer, power product) terms over the
-    denominator d of ``integer_image``.  Built when a step first rewrites
-    with g, and cached in ``g._lift``.
+    denominator d of ``integer_image``.  Built when a step or a reduct
+    first rewrites with g, and cached in ``g._lift``.
     """
     try:
         return g._lift
@@ -70,6 +73,44 @@ def _fused_step(r: list, i: int, s: int, t: int, q: tuple, tail: tuple, rank, de
     else:
         out += [(rr, s * c, mono, pp) for rr, c, mono, pp in r[i:]]
     return out
+
+
+def reduct(ring, f: Polynomial, g: Polynomial, index) -> Optional[tuple]:
+    """``PolyRing.reduct`` over the rationals, on integer numerators; g is nonzero.
+
+    Over a field g reduces the greatest term c*x^pp of f whose power
+    product g's lead power product lpp divides, with the multiplier
+    m = (c/lc)*x^q, q = pp - lpp, at each of the ring's indices.  With
+    g = (L*x^lpp + tail)/d (``_image``) and c = n/D,
+
+        m*g = c*x^pp + (c/L)*x^q*tail,
+
+    so the hit term cancels exactly: f - m*g is f without it, merged with
+    -(c/L)*x^q*tail, one ratio(-n*t, D*L) per tail term t*x^tpp.  The loop
+    over ``Fraction`` forms a product and then a negation per term of g
+    instead.  Every ``Fraction`` is in lowest terms, so the values are the
+    same.
+    """
+    if index not in ring.multiplier_indices:
+        return None
+    lpp = g.terms[0].pp
+    terms = f.terms
+    for k, (c, pp) in enumerate(terms):
+        if all(map(_le, lpp, pp)):
+            break
+    else:
+        return None
+    L, d, tail = _image(ring, g)
+    (n,), D = ring.coeff.integer_image([c])
+    ratio = ring.coeff.ratio
+    q = tuple(map(_sub_exps, pp, lpp))
+    DL = D * L
+    r = tuple(
+        [_new_tuple(Monomial, (ratio(-n * t, DL), tuple(map(_add_exps, q, tpp)))) for t, tpp in tail]
+    )
+    if len(terms) > 1:
+        r = terms[:k] + ring._merge(terms[k + 1 :], r, False)
+    return ring._term(ratio(n * d, DL), q), Polynomial(ring, r)
 
 
 def normal_form(ring, a: Polynomial, basis: Sequence, max_steps: int, steps: Optional[list]) -> Polynomial:

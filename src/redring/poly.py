@@ -225,9 +225,9 @@ class PolyRing(Domain):
     leads.  The ring lists that index only where the coefficient domain
     provides the ``annihilator`` hook (Z/nZ); without zero divisors it would
     always be empty.  ``_reducers`` is the one encoding of what g rewrites
-    with at each index.  The normal form works top-down (``normal_form``),
-    on integer numerators where the coefficient domain offers the
-    ``integer_image`` hook (Q).  Over field coefficients g reduces exactly
+    with at each index.  The normal form works top-down (``normal_form``);
+    it and the one-step ``reduct`` run on integer numerators where the
+    coefficient domain offers the ``integer_image`` hook (Q).  Over field coefficients g reduces exactly
     the terms its leading power product divides, and every mntcr of two
     elements is one term at the lcm of their leads; the ring then offers
     ``field_lead``, through which the pair set reads those lcms.
@@ -462,15 +462,46 @@ class PolyRing(Domain):
                     return m, tuple(map(_sub_exps, pp, g_pp))
         return None
 
-    def find_multiplier(self, f: Polynomial, g: Polynomial, index) -> Optional[Polynomial]:
+    def _hit(self, f: Polynomial, g: Polynomial, index) -> Optional[tuple]:
+        """(mc, q, scalar, terms): the first row of g at index (``_reducers``)
+        that reduces a term of f, with that row's ``_scan`` multiplier
+        mc*x^q; None when no row does."""
         if not f.terms or not g.terms:
             return None
-        for i, cindex, scalar, lc, lpp, _terms in self._reducers(g):
+        for i, cindex, scalar, lc, lpp, terms in self._reducers(g):
             hit = self._scan(f.terms, lc, lpp, cindex) if i == index else None
             if hit:
-                mc, q = hit
-                return self._term(mc if scalar is None else self.coeff.mul(mc, scalar), q)
+                return (*hit, scalar, terms)
         return None
+
+    def find_multiplier(self, f: Polynomial, g: Polynomial, index) -> Optional[Polynomial]:
+        hit = self._hit(f, g, index)
+        if hit is None:
+            return None
+        mc, q, scalar, _terms = hit
+        return self._term(mc if scalar is None else self.coeff.mul(mc, scalar), q)
+
+    def reduct(self, f: Polynomial, g: Polynomial, index) -> Optional[tuple]:
+        """(m, f - m*g) for the ``find_multiplier`` witness m, None without one.
+
+        The row that ``find_multiplier`` takes gives m = mc*x^q at an
+        ordinary index and m = mc*scalar*x^q at "ann", where the row's
+        terms are those of the shadow scalar*g.  Either way m*g is
+        mc*x^q times the row's terms, so f - m*g is one ``_merge`` of f
+        with ``_scale(-mc, q, terms)``: no product polynomial m*g and no
+        negation of each of its terms.  Where the coefficient domain
+        offers ``integer_image`` (Q), the reduct is built on integer
+        numerators (``fraction_free.reduct``).
+        """
+        if self.coeff.integer_image is not None:
+            return _fraction_free_reduct(self, f, g, index) if g.terms else None
+        hit = self._hit(f, g, index)
+        if hit is None:
+            return None
+        mc, q, scalar, terms = hit
+        m = self._term(mc if scalar is None else self.coeff.mul(mc, scalar), q)
+        scaled = self._scale(self.coeff.neg(mc), q, terms)
+        return m, Polynomial(self, self._merge(f.terms, scaled, False))
 
     def normal_form(self, a: Polynomial, basis: Sequence, max_steps: int, steps: Optional[list]) -> Polynomial:
         """Totally reduce a modulo the basis, top-down.
@@ -689,3 +720,4 @@ def make_poly_domain(coeff: Domain, names: Iterable[str], order) -> PolyRing:
 
 # fraction_free builds this module's polynomials, so it is imported once they exist
 from .fraction_free import normal_form as _fraction_free_normal_form  # noqa: E402
+from .fraction_free import reduct as _fraction_free_reduct  # noqa: E402

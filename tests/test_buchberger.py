@@ -72,9 +72,50 @@ def test_critical_pair_replays_certificates():
     assert Z.less(a1, z) and Z.less(a2, z)
 
 
+@pytest.mark.parametrize("coeff", [Q, make_integer_quotient_domain(24)], ids=["q", "zmod24"])
+def test_critical_pair_takes_one_reduct_per_side(coeff, monkeypatch):
+    R = make_poly_domain(coeff, ("x", "y"), "degrevlex")
+    g1, g2 = R.parse("3*x^2*y + 5*y"), R.parse("2*x*y^2 + x")
+    z = R.mntcrs(g1, 0, g2, 0)[0]
+    m1, m2 = R.find_multiplier(z, g1, 0), R.find_multiplier(z, g2, 0)
+    want = (m1, z - m1 * g1, m2, z - m2 * g2)
+    calls = []
+    for name in ("reduct", "find_multiplier", "mul", "sub"):
+        real = getattr(R, name)
+        monkeypatch.setattr(R, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    assert critical_pair(R, z, g1, 0, g2, 0) == want
+    assert calls == ["reduct", "reduct"]
+
+
 def test_critical_pair_contract_violation():
     with pytest.raises(ContractViolationError):
         critical_pair(Z, 1, 4, 0, 6, 0)  # 1 is irreducible modulo both
+
+
+@pytest.mark.parametrize("coeff", [Q, make_integer_quotient_domain(24)], ids=["q", "zmod24"])
+@pytest.mark.parametrize("subject", ["gb", "is_groebner_basis"])
+def test_polynomial_mntcr_one_side_cannot_reduce(coeff, subject, monkeypatch):
+    # at indices (0, 0) the mntcr of a pair of distinct elements is the lead
+    # term x^2*y of the first, which the lead 4*x*y^2 (or x*y^2) of the
+    # second does not divide
+    R = make_poly_domain(coeff, ("x", "y"), "degrevlex")
+    lead = "x*y^2" if coeff.is_field else "4*x*y^2"
+    gens = [R.parse("x^2*y + 1"), R.parse(lead + " + x")]
+    real = R.mntcrs
+
+    def mntcrs(g1, i1, g2, i2):
+        if (i1, i2) == (0, 0) and g1 is not g2:
+            return [R.monomial(coeff.one, g1.leading_pp())]
+        return real(g1, i1, g2, i2)
+
+    monkeypatch.setattr(R, "mntcrs", mntcrs)
+    with pytest.raises(ContractViolationError) as stop:
+        gb(R, gens) if subject == "gb" else is_groebner_basis(R, gens)
+    assert str(stop.value) == (
+        "mntcr x^2*y is not reducible by both generators at pair 0 1 with 2 basis elements"
+    )
+    if subject == "gb":
+        assert stop.value.trace.records[-1] == ("pair", 0, 1)
 
 
 def test_gb_empty_input():
@@ -884,24 +925,24 @@ def test_checker_rejects_katsura3_without_last_element():
 
 
 def test_checker_skips_pairs_that_provably_join(monkeypatch):
-    import redring.buchberger as engine
-
     coeff, names, texts, _digest, _basis, _rows = GOLDEN["cyclic4"]
     R = make_poly_domain(coeff, tuple(names), "degrevlex")
     G = gb(R, [R.parse(t) for t in texts]).basis
     calls = []
-    real = engine.normal_form
+    real = R.normal_form
 
     def counted(*args):
-        calls.append(1)
+        calls.append(args[-1])
         return real(*args)
 
-    monkeypatch.setattr(engine, "normal_form", counted)
+    monkeypatch.setattr(R, "normal_form", counted)
     assert is_groebner_basis(R, G)
     n = len(G)
     formed = sum(len(R.mntcrs(G[i], 0, G[j], 0)) for j in range(n) for i in range(j + 1))
     # every pair has one mntcr; at least the n self-pairs need no reduction
-    assert len(calls) <= 2 * (formed - n)
+    assert 0 < len(calls) <= 2 * (formed - n)
+    # the walk's steps are never read, so its normal forms keep none
+    assert calls == [None] * len(calls)
 
 
 def record_formed_pairs(monkeypatch) -> list:

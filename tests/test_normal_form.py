@@ -4,7 +4,8 @@
 settles each irreducible term once; ``Domain.normal_form``, the loop over
 ``reduce_step``, is the reference.  Over Q the same steps run on integer
 numerators; the top-down loop over ``Fraction`` coefficients is the
-reference there.  Seeded with stdlib ``random``.
+reference there.  One step, ``reduct``, is checked against its
+definition.  Seeded with stdlib ``random``.
 """
 
 import random
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from redring.buchberger import gb, member_ideal
-from redring.core import DEFAULT_STEP_BOUND, Domain, NonTerminationError, normal_form
+from redring.core import DEFAULT_STEP_BOUND, Domain, NonTerminationError, normal_form, reduce_step
 from redring.poly import make_poly_domain
 from redring.scalars import (
     RationalFieldDomain,
@@ -219,3 +220,118 @@ def test_member_ideal_builds_no_step_multiplier(name, monkeypatch):
     assert not h and len(steps) >= 3
     for _obj, attr in counted:
         assert calls.count(attr) >= 3, attr
+
+
+# reduct against its definition, (m, f - m*g) for the find_multiplier witness
+# m: the generic PolyRing.reduct merges a scaled row of _reducers into f,
+# and over Q fraction_free.reduct builds it on integer numerators
+REDUCT_COEFFS = {**COEFFS, "q-fraction-loop": FractionLoopQ()}
+
+
+def random_coeff(rng, coeff):
+    """A nonzero coefficient: p/q with q up to 9 over Q, up to ±60 otherwise."""
+    while True:
+        if coeff.is_field:
+            c = Fraction(rng.randint(-60, 60), rng.randint(1, 9))
+        else:
+            c = coeff.parse(str(rng.randint(-60, 60)))
+        if c:
+            return c
+
+
+def random_reduct_poly(rng, R, terms):
+    """1 to ``terms`` terms with exponents up to 2 and ``random_coeff`` coefficients."""
+    items = [
+        (random_coeff(rng, R.coeff), tuple(rng.randint(0, 2) for _ in range(R.nvars)))
+        for _ in range(rng.randint(1, terms))
+    ]
+    return R.poly(items)
+
+
+def assert_reduct_is_its_definition(dom, f, g, index) -> bool:
+    """Whether f reduces by g at index; asserts reduct agrees with find_multiplier."""
+    m = dom.find_multiplier(f, g, index)
+    got = dom.reduct(f, g, index)
+    if m is None:
+        assert got is None
+        return False
+    assert got is not None
+    assert got[0] == m
+    assert got[1] == dom.sub(f, dom.mul(m, g))
+    if hasattr(dom, "coeff"):  # term for term, coefficient types included
+        for want, have in zip((m, dom.sub(f, dom.mul(m, g))), got):
+            assert have.terms == want.terms
+            assert [type(c) for c, _ in have.terms] == [type(c) for c, _ in want.terms]
+    return True
+
+
+@pytest.mark.parametrize("order", ["lex", "degrevlex"])
+@pytest.mark.parametrize("name", sorted(REDUCT_COEFFS))
+def test_polynomial_reduct_is_its_definition(name, order):
+    R = make_poly_domain(REDUCT_COEFFS[name], ("x", "y", "z"), order)
+    # "ann" is probed on every ring; where it is not an index, nothing reduces at it
+    indices = tuple(dict.fromkeys((*R.multiplier_indices, "ann")))
+    rng = random.Random(f"reduct-{name}-{order}")
+    hits = {(index, one_term): 0 for index in indices for one_term in (True, False)}
+    misses = 0
+    for _ in range(300):
+        g = random_reduct_poly(rng, R, 4)
+        for one_term in (True, False):
+            f = random_reduct_poly(rng, R, 1 if one_term else 6)
+            # a mntcr-like f: one term at a multiple of g's lead power product
+            if one_term and rng.random() < 0.5:
+                pp = tuple(e + rng.randint(0, 1) for e in g.leading_pp())
+                f = R.monomial(random_coeff(rng, R.coeff), pp)
+            for index in indices:
+                if assert_reduct_is_its_definition(R, f, g, index):
+                    hits[index, one_term] += 1
+                else:
+                    misses += 1
+    for index in indices:
+        assert R.reduct(R.zero, g, index) is None and R.find_multiplier(R.zero, g, index) is None
+        assert R.reduct(g, R.zero, index) is None and R.find_multiplier(g, R.zero, index) is None
+    assert misses
+    assert all(hits[key] for key in hits if key[0] in R.multiplier_indices), hits
+    assert "ann" in R.multiplier_indices or not any(hits[key] for key in hits if key[0] == "ann")
+
+
+@pytest.mark.parametrize("name", ["q", "z", "zmod24"])
+def test_scalar_reduct_is_its_definition(name):
+    coeff = COEFFS[name]
+    rng = random.Random(f"reduct-{coeff.name}")
+    pool = [coeff.zero, coeff.one] + coeff.sample_elements(rng, 40)
+    hits = sum(
+        assert_reduct_is_its_definition(coeff, a, c, index)
+        for a in pool
+        for c in pool
+        for index in coeff.multiplier_indices
+    )
+    assert hits
+
+
+@pytest.mark.parametrize("name", ["q", "zmod24"])
+def test_reduce_step_takes_the_reduct(name, monkeypatch):
+    R = make_poly_domain(COEFFS[name], ("x", "y", "z"), "degrevlex")
+    basis = [R.parse("6*y^2 + x"), R.parse("4*x*y - 3*z")]
+    a = R.parse("5*x^2*y^3 + 7*x*y*z + 2")
+    made = []
+    real = R.reduct
+    monkeypatch.setattr(R, "reduct", lambda *args: made.append(real(*args)) or made[-1])
+    b, pos, m = reduce_step(R, a, basis)
+    assert made[-1] == (m, b) and made[-1][1] is b
+    assert pos == 0 and b == R.sub(a, R.mul(m, basis[0]))
+
+
+def test_rational_reduct_does_no_coefficient_arithmetic(monkeypatch):
+    coeff = make_field_domain()
+    R = make_poly_domain(coeff, ("x", "y", "z"), "degrevlex")
+    g = R.parse("3/4*x^2 - 2/5*y*z + 7/3")
+    z = R.parse("-5/6*x^2*y*z")
+    calls = []
+    for name in ("add", "neg", "mul", "find_multiplier"):
+        real = getattr(coeff, name)
+        monkeypatch.setattr(coeff, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    m, a = R.reduct(z, g, 0)
+    assert calls == []
+    monkeypatch.undo()
+    assert (m, a) == (R.parse("-10/9*y*z"), R.parse("-4/9*y^2*z^2 + 70/27*y*z"))
