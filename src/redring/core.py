@@ -81,10 +81,11 @@ class Domain:
     read (``buchberger.PairSet``); ``annihilator(c)``, a nonzero m with
     m*c = 0 or None where only zero annihilates c, which rings with zero
     divisors provide and polynomial rings over them reduce through (their
-    multiplier index "ann"); and ``integer_image(cs)``, which the fraction
-    field of the integers provides and polynomial rings over it normal-form
-    and form their reducts through: the integers ns over the least positive
-    d with cs[k] = ns[k]/d.  A domain with ``integer_image`` also builds
+    multiplier index "ann"); and ``integer_image(cs)``, the integers ns
+    over the least positive d with cs[k] = ns[k]/d, which the fraction
+    field of the integers provides and ``make_poly_domain`` reads once, to
+    build a ``FractionFreePolyRing`` whose normal form and reduct run on
+    those integers.  A domain with ``integer_image`` also builds
     the element n/d of integers n and d != 0 as ``ratio(n, d)``.
     """
 

@@ -21,12 +21,19 @@ Arithmetic keeps term tuples sorted and never re-sorts them:
 Only ``PolyRing.poly`` collects unordered (coefficient, power product) pairs
 through a dict and a sort.  It validates its input and builds parsed and
 user-supplied polynomials; no internal result goes through it.
+
+``make_poly_domain`` chooses the reduction rule once, from the coefficient
+domain: where it offers the ``integer_image`` hook (Q) the ring is a
+``FractionFreePolyRing``, whose normal form and reduct take the steps of
+the generic rule on integer numerators over one denominator; otherwise it
+is a ``PolyRing``.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from math import gcd
 from operator import add as _add_exps, le as _le, sub as _sub_exps
 from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
@@ -131,7 +138,7 @@ class Polynomial:
     A polynomial is falsy exactly when it is zero.  The slot ``_rows``
     caches ``PolyRing._reducers(self)``, and ``_lift`` what a coefficient
     hook derives from self: ``PolyRing._ann_family(self)`` over coefficients
-    with an ``annihilator`` (Z/nZ), ``fraction_free._image(ring, self)``
+    with an ``annihilator`` (Z/nZ), ``FractionFreePolyRing._image(self)``
     over coefficients with an ``integer_image`` (Q).  A field has no
     annihilator, so no coefficient domain has both hooks.  The slots are
     set on first use, never in ``__init__``, and play no part in equality
@@ -225,12 +232,16 @@ class PolyRing(Domain):
     leads.  The ring lists that index only where the coefficient domain
     provides the ``annihilator`` hook (Z/nZ); without zero divisors it would
     always be empty.  ``_reducers`` is the one encoding of what g rewrites
-    with at each index.  The normal form works top-down (``normal_form``);
-    it and the one-step ``reduct`` run on integer numerators where the
-    coefficient domain offers the ``integer_image`` hook (Q).  Over field coefficients g reduces exactly
-    the terms its leading power product divides, and every mntcr of two
-    elements is one term at the lcm of their leads; the ring then offers
-    ``field_lead``, through which the pair set reads those lcms.
+    with at each index.  The normal form works top-down (``normal_form``).
+    Over field coefficients g reduces exactly the terms its leading power
+    product divides, and every mntcr of two elements is one term at the lcm
+    of their leads; the ring then offers ``field_lead``, through which the
+    pair set reads those lcms.
+
+    This class is the generic rule over any coefficients.  Over Q it is the
+    reference for ``FractionFreePolyRing``, which ``make_poly_domain``
+    builds there: ``PolyRing(Q, ...)`` built directly gives the same
+    values, by arithmetic on ``Fraction`` coefficients, only more slowly.
     """
 
     def __init__(self, coeff: Domain, names: Iterable[str], order: TermOrder) -> None:
@@ -489,12 +500,8 @@ class PolyRing(Domain):
         terms are those of the shadow scalar*g.  Either way m*g is
         mc*x^q times the row's terms, so f - m*g is one ``_merge`` of f
         with ``_scale(-mc, q, terms)``: no product polynomial m*g and no
-        negation of each of its terms.  Where the coefficient domain
-        offers ``integer_image`` (Q), the reduct is built on integer
-        numerators (``fraction_free.reduct``).
+        negation of each of its terms.
         """
-        if self.coeff.integer_image is not None:
-            return _fraction_free_reduct(self, f, g, index) if g.terms else None
         hit = self._hit(f, g, index)
         if hit is None:
             return None
@@ -529,12 +536,7 @@ class PolyRing(Domain):
         so the h returned is irreducible at every index: the finite
         criterion, ``member_ideal`` and the cofactor rows keep their
         meaning.
-
-        Where the coefficient domain offers ``integer_image`` (Q), the same
-        steps run on integer numerators (``fraction_free.normal_form``).
         """
-        if self.coeff.integer_image is not None:
-            return _fraction_free_normal_form(self, a, basis, max_steps, steps)
         reducers = [(pos, row) for pos, g in enumerate(basis) if g for row in self._reducers(g)]
         find, mul, neg = self.coeff.find_multiplier, self.coeff.mul, self.coeff.neg
         taken = 0
@@ -585,19 +587,12 @@ class PolyRing(Domain):
         """
         return g.terms[0].pp
 
-    def monic(self, p: Polynomial) -> Polynomial:
-        """Scale by the inverse leading coefficient; field coefficients only."""
-        if not p:
-            return p
-        lc = p.leading_coeff()
-        inv = self.coeff.find_multiplier(self.coeff.one, lc, self.multiplier_indices[0])
-        if inv is None:
-            return p
-        return mono_mul(Monomial(inv, (0,) * self.nvars), p)
-
     def canonical_associate(self, p: Polynomial) -> Polynomial:
-        """``monic`` over field coefficients, p itself otherwise."""
-        return self.monic(p) if self.coeff.is_field else p
+        """p scaled by its inverse leading coefficient over field coefficients, p itself otherwise."""
+        if not (p and self.coeff.is_field):
+            return p
+        inv = self.coeff.find_multiplier(self.coeff.one, p.terms[0].coeff, self.multiplier_indices[0])
+        return mono_mul(Monomial(inv, (0,) * self.nvars), p)
 
     # syntax
     def render(self, p: Polynomial) -> str:
@@ -707,17 +702,188 @@ class PolyRing(Domain):
         return hash((self.names, self.order))
 
 
+def _fused_step(r: list, i: int, s: int, t: int, q: tuple, tail: tuple, rank, descending: bool) -> list:
+    """s*r[i:] - t*x^q*tail, both descending, as a new list of r's terms.
+
+    r holds (rank, integer, monomial, power product) terms, where monomial
+    is a's own term while the integer is a's coefficient scaled with D, and
+    None once a step has changed it; tail holds (integer, power product)
+    terms, ranked here after the shift by q.  Zero sums drop.
+    """
+    out = []
+    append = out.append
+    n = len(r)
+    for gc, gpp in tail:
+        pp = tuple(map(_add_exps, q, gpp))
+        rk = rank(pp)
+        c = -t * gc
+        while i < n:
+            term = r[i]
+            rr = term[0]
+            if rr == rk:
+                c += s * term[1]
+                i += 1
+                break
+            if (rr < rk) != descending:
+                break  # the shifted tail term is above r[i]
+            append(term if s == 1 else (rr, s * term[1], term[2], term[3]))
+            i += 1
+        if c:
+            append((rk, c, None, pp))
+    if s == 1:
+        out += r[i:]
+    else:
+        out += [(rr, s * c, mono, pp) for rr, c, mono, pp in r[i:]]
+    return out
+
+
+class FractionFreePolyRing(PolyRing):
+    """The polynomial ring over Q, reducing integer numerators over one denominator.
+
+    ``make_poly_domain`` builds it where the coefficient domain offers the
+    ``integer_image`` hook (the rationals).  Its normal form takes the steps
+    of ``PolyRing.normal_form`` and returns the same h exactly, and appends
+    the same steps when the caller keeps them, but does its arithmetic on
+    integers: the loop over ``Fraction`` coefficients spends most of its
+    time normalising each sum and product through a gcd.  The method is
+    pseudo-division with primitive parts (Knuth, *The Art of Computer
+    Programming* vol. 2, section 4.6.1).  Its reduct, one step that forms a
+    side of a critical pair, builds one ``Fraction`` per term of the
+    element's tail from integers, and none for the term that cancels.
+    """
+
+    def _image(self, g: Polynomial) -> tuple:
+        """(L, d, tail) with g = (L*x^lpp + tail)/d, lpp g's lead power product.
+
+        The tail is a tuple of (integer, power product) terms over the
+        denominator d of ``integer_image``.  Built when a step or a reduct
+        first rewrites with g, and cached in ``g._lift``.
+        """
+        try:
+            return g._lift
+        except AttributeError:
+            pass
+        terms = g.terms
+        ns, d = self.coeff.integer_image([m.coeff for m in terms])
+        g._lift = (ns[0], d, tuple(zip(ns[1:], [m.pp for m in terms[1:]])))
+        return g._lift
+
+    def reduct(self, f: Polynomial, g: Polynomial, index) -> Optional[tuple]:
+        """``PolyRing.reduct`` on integer numerators.
+
+        Over a field g reduces the greatest term c*x^pp of f whose power
+        product g's lead power product lpp divides, with the multiplier
+        m = (c/lc)*x^q, q = pp - lpp, at each of the ring's indices.  With
+        g = (L*x^lpp + tail)/d (``_image``) and c = n/D,
+
+            m*g = c*x^pp + (c/L)*x^q*tail,
+
+        so the hit term cancels exactly: f - m*g is f without it, merged with
+        -(c/L)*x^q*tail, one ratio(-n*t, D*L) per tail term t*x^tpp.  The loop
+        over ``Fraction`` forms a product and then a negation per term of g
+        instead.  Every ``Fraction`` is in lowest terms, so the values are the
+        same.
+        """
+        if index not in self.multiplier_indices or not g.terms:
+            return None
+        lpp = g.terms[0].pp
+        terms = f.terms
+        for k, (c, pp) in enumerate(terms):
+            if all(map(_le, lpp, pp)):
+                break
+        else:
+            return None
+        L, d, tail = self._image(g)
+        (n,), D = self.coeff.integer_image([c])
+        ratio = self.coeff.ratio
+        q = tuple(map(_sub_exps, pp, lpp))
+        DL = D * L
+        r = tuple(
+            [_new_tuple(Monomial, (ratio(-n * t, DL), tuple(map(_add_exps, q, tpp)))) for t, tpp in tail]
+        )
+        if len(terms) > 1:
+            r = terms[:k] + self._merge(terms[k + 1 :], r, False)
+        return self._term(ratio(n * d, DL), q), Polynomial(self, r)
+
+    def normal_form(self, a: Polynomial, basis: Sequence, max_steps: int, steps: Optional[list]) -> Polynomial:
+        """``PolyRing.normal_form`` on integer numerators.
+
+        The steps are those of the top-down loop: over a field the first
+        element whose lead power product divides the current term rewrites it.
+        A settled term that no step has changed is a's own monomial, as it is
+        in the loop over ``Fraction``.  From the first step on, the unsettled
+        part is R/D, R a list of integer terms, and each basis element g is
+        (L*x^lpp + tail)/d (``_image``).  The step that takes the term C*x^pp
+        of R with g, with e = gcd(C, L) signed as L, is one merge:
+
+            R/D - C*d/(D*L) * x^q * g = ((L/e)*R - (C/e)*x^q*(L*x^lpp + tail)) / (D*L/e)
+
+        whose lead cancels, so the merge skips it and D grows by L/e > 0.  The
+        multiplier is appended to steps as ratio(C*d, D*L), and a settled term
+        is built as ratio(C, D): the exact values the loop over ``Fraction``
+        gives.  When steps is None no multiplier is built, which saves a
+        ``Fraction`` (a gcd) and a one-term polynomial per step.  Once D
+        passes 2**64, the gcd of D and R's integers is divided out of both, and
+        again each time D has grown by another factor of 2**64: the gcd costs a
+        pass over R, and on katsura6 trying it after every step cost more than
+        it saved.
+        """
+        reducers = [(pos, g.terms[0].pp, g) for pos, g in enumerate(basis) if g]
+        ratio = self.coeff.ratio
+        rank, descending = self.order.rank, self.order.descending
+        taken = 0
+        done: list = []  # the settled terms, once a step has been taken
+        limit = 1 << 64  # D above it: divide out the content
+        r, i, D = a.terms, 0, None  # r[:i] is settled; D is None before the first step
+        while i < len(r):
+            pp = r[i][-1]
+            for pos, lpp, g in reducers:
+                if all(map(_le, lpp, pp)):
+                    break
+            else:
+                if D is not None:
+                    _, n, mono, _ = r[i]
+                    done.append(mono or _new_tuple(Monomial, (ratio(n, D), pp)))
+                i += 1
+                continue
+            if taken == max_steps:
+                raise step_cap_exceeded(self, a, max_steps)
+            taken += 1
+            if D is None:
+                done += r[:i]
+                ns, D = self.coeff.integer_image([m.coeff for m in r[i:]])
+                r, i = [(rank(m.pp), n, m, m.pp) for n, m in zip(ns, r[i:])], 0
+            C = r[i][1]
+            L, d, tail = self._image(g)
+            q = tuple(map(_sub_exps, pp, lpp))
+            if steps is not None:
+                steps.append((pos, self._term(ratio(C * d, D * L), q)))
+            e = gcd(C, L) if L > 0 else -gcd(C, L)
+            s = L // e
+            r, i = _fused_step(r, i + 1, s, C // e, q, tail, rank, descending), 0
+            D *= s
+            if D > limit:
+                content = gcd(D, *[term[1] for term in r])
+                if content > 1:
+                    D //= content
+                    r = [(rr, n // content, mono, pp) for rr, n, mono, pp in r]
+                limit = D << 64
+        if D is None:
+            return Polynomial(self, a.terms)
+        return Polynomial(self, tuple(done))
+
+
 def make_poly_domain(coeff: Domain, names: Iterable[str], order) -> PolyRing:
     """Polynomial reduction ring over a coefficient domain.
 
-    ``order`` may be a TermOrder or one of the kind strings.
+    ``order`` may be a TermOrder or one of the kind strings.  The ring is a
+    ``FractionFreePolyRing`` where the coefficient domain offers
+    ``integer_image`` (Q), and a ``PolyRing`` otherwise.
     """
     names = tuple(names)
     if isinstance(order, str):
         order = TermOrder(order, len(names))
+    if coeff.integer_image is not None:
+        return FractionFreePolyRing(coeff, names, order)
     return PolyRing(coeff, names, order)
 
-
-# fraction_free builds this module's polynomials, so it is imported once they exist
-from .fraction_free import normal_form as _fraction_free_normal_form  # noqa: E402
-from .fraction_free import reduct as _fraction_free_reduct  # noqa: E402

@@ -71,7 +71,7 @@ class RationalFieldDomain(Domain):
         return isinstance(other, RationalFieldDomain)
 
     def __hash__(self) -> int:
-        return hash(self.name)
+        return hash(RationalFieldDomain)
 
 
 def _int_order_key(a: int) -> tuple:
@@ -137,7 +137,7 @@ class IntegerDomain(Domain):
         return isinstance(other, IntegerDomain)
 
     def __hash__(self) -> int:
-        return hash(self.name)
+        return hash(IntegerDomain)
 
 
 class IntegerQuotientDomain(Domain):
@@ -221,7 +221,7 @@ class IntegerQuotientDomain(Domain):
         return isinstance(other, IntegerQuotientDomain) and other.n == self.n
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.n))
+        return hash((IntegerQuotientDomain, self.n))
 
 
 def make_field_domain() -> RationalFieldDomain:

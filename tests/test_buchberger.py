@@ -31,7 +31,7 @@ from redring.oracles import (
     exhaustive_ideal_oracle,
     gcd_membership_oracle,
 )
-from redring.poly import PolyRing, make_poly_domain
+from redring.poly import FractionFreePolyRing, PolyRing, make_poly_domain
 from redring.relations import is_church_rosser
 from redring.scalars import (
     RationalFieldDomain,
@@ -49,6 +49,28 @@ class TwoIndexField(RationalFieldDomain):
 
     name = "q2"
     multiplier_indices = (0, 1)
+
+
+class FractionLoopQ(RationalFieldDomain):
+    """The rationals without an integer image: polynomial rings over them
+    take the generic rule, over ``Fraction`` coefficients."""
+
+    integer_image = None
+
+
+@pytest.mark.parametrize(
+    "coeff, cls",
+    [
+        (Q, FractionFreePolyRing),
+        (TwoIndexField(), FractionFreePolyRing),
+        (FractionLoopQ(), PolyRing),
+        (Z, PolyRing),
+        (make_integer_quotient_domain(24), PolyRing),
+    ],
+    ids=["q", "q2", "q-fraction-loop", "z", "zmod24"],
+)
+def test_make_poly_domain_chooses_the_rule_from_the_coefficients(coeff, cls):
+    assert type(make_poly_domain(coeff, ("x", "y"), "lex")) is cls
 
 
 def test_critical_pair_field_example():
@@ -555,13 +577,15 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_replay(name):
     coeff, names, texts, digest, basis, rows = GOLDEN[name]
-    R = make_poly_domain(coeff, tuple(names), "degrevlex")
-    gens = [R.parse(t) for t in texts]
-    res = gb(R, gens)
-    assert tuple(R.render(g) for g in res.basis) == basis
-    assert res.trace.digest() == digest
-    assert rows_digest(R, res.rows) == rows
-    assert verify_cofactors(R, res.rows, gens)
+    # over Q the generic rule (FractionLoopQ) must give every byte the fraction-free one gives
+    for c in [coeff, FractionLoopQ()] if coeff == Q else [coeff]:
+        R = make_poly_domain(c, tuple(names), "degrevlex")
+        gens = [R.parse(t) for t in texts]
+        res = gb(R, gens)
+        assert tuple(R.render(g) for g in res.basis) == basis
+        assert res.trace.digest() == digest
+        assert rows_digest(R, res.rows) == rows
+        assert verify_cofactors(R, res.rows, gens)
 
 
 

@@ -182,6 +182,24 @@ def test_check_is_gb(problem, capsys):
         assert code == 0 and out.strip() == "YES"
 
 
+def test_check_is_gb_json(problem, capsys):
+    code, out, _ = run(capsys, ["check", problem(Q_PROBLEM), "--is-gb", "--json"])
+    assert (code, out) == (0, '{"is_groebner_basis": true}\n')
+    code, out, _ = run(capsys, ["check", problem(Z_PROBLEM), "--is-gb", "--json"])
+    assert (code, out) == (1, '{"is_groebner_basis": false}\n')
+
+
+@pytest.mark.parametrize(
+    "flag, hook, line",
+    [("--certify", "verify_cofactors", "cofactors: FAILED"), ("--check", "is_groebner_basis", "check: FAILED")],
+    ids=["certify", "check"],
+)
+def test_failed_verification_exits_1(flag, hook, line, problem, capsys, monkeypatch):
+    monkeypatch.setattr(cli, hook, lambda *args, **kwargs: False)
+    code, out, err = run(capsys, ["gb", problem(ZMOD_POLY_PROBLEM), flag])
+    assert (code, out, err) == (1, "", line + "\n")
+
+
 def test_parse_error_reports_line(problem, capsys):
     bad = "ring z\ngens:\n4\nnot-a-number\n"
     code, _, err = run(capsys, ["gb", problem(bad)])
@@ -214,6 +232,8 @@ def test_parse_error_gives_the_file_column(problem, capsys):
         (Z_PROBLEM, ["--vars", "x,x"], "--vars"),
         (Z_PROBLEM, ["--vars", ","], "--vars"),
         ("ring q\nvars ,\ngens:\nx\n", [], "line 2"),
+        ("ring\ngens:\n7\n", [], "line 1"),
+        ("ring q\nfield x\ngens:\n7\n", [], "line 2"),
     ],
     ids=[
         "vars-line",
@@ -225,6 +245,8 @@ def test_parse_error_gives_the_file_column(problem, capsys):
         "vars-flag",
         "vars-flag-empty",
         "vars-line-empty",
+        "ring-line-empty",
+        "unknown-keyword-line",
     ],
 )
 def test_header_errors_name_their_line_or_flag(text, flags, where, problem, capsys):
@@ -424,6 +446,16 @@ def test_flag_overrides(problem, capsys):
     code, out, _ = run(capsys, ["gb", problem(Z_PROBLEM), "--ring", "zmod:24"])
     assert code == 0
     assert out.splitlines() == ["4", "6", "2"]
+
+
+def test_order_flag_overrides_the_order_line(problem, capsys):
+    code, lex, _ = run(capsys, ["gb", problem(QXY_PROBLEM)])
+    assert code == 0
+    code, flagged, _ = run(capsys, ["gb", problem(QXY_PROBLEM), "--order", "degrevlex"])
+    assert code == 0
+    code, lined, _ = run(capsys, ["gb", problem(QXY_PROBLEM.replace("order lex", "order degrevlex"))])
+    assert code == 0
+    assert flagged == lined != lex
 
 
 def test_classical_specialization_through_cli(problem, capsys):

@@ -224,7 +224,7 @@ def test_member_ideal_builds_no_step_multiplier(name, monkeypatch):
 
 # reduct against its definition, (m, f - m*g) for the find_multiplier witness
 # m: the generic PolyRing.reduct merges a scaled row of _reducers into f,
-# and over Q fraction_free.reduct builds it on integer numerators
+# and over Q FractionFreePolyRing.reduct builds it on integer numerators
 REDUCT_COEFFS = {**COEFFS, "q-fraction-loop": FractionLoopQ()}
 
 

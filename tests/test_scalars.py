@@ -11,6 +11,7 @@ from redring.relations import equivalent, is_church_rosser
 from redring.scalars import (
     IntegerDomain,
     IntegerQuotientDomain,
+    RationalFieldDomain,
     make_field_domain,
     make_integer_domain,
     make_integer_quotient_domain,
@@ -246,3 +247,29 @@ def test_normalize_sign():
     assert IntegerDomain().canonical_associate(-2) == 2
     assert IntegerDomain().canonical_associate(0) == 0
     assert IntegerDomain().canonical_associate(7) == 7
+
+
+class RenamedQ(RationalFieldDomain):
+    name = "q2"
+
+
+class RenamedZ(IntegerDomain):
+    name = "z2"
+
+
+class PlainZmod(IntegerQuotientDomain):
+    pass
+
+
+@pytest.mark.parametrize(
+    "base, subclass",
+    [(Q, RenamedQ()), (Z, RenamedZ()), (make_integer_quotient_domain(24), PlainZmod(24))],
+    ids=["q", "z", "zmod24"],
+)
+def test_domain_hash_agrees_with_equality(base, subclass):
+    assert base == subclass and subclass == base
+    assert hash(base) == hash(subclass)
+    assert len({base, subclass}) == 1
+    # a different modulus, or another kind of domain, stays apart
+    assert base != make_integer_quotient_domain(36)
+    assert len({base, make_integer_quotient_domain(36)}) == 2
