@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -450,3 +451,86 @@ def test_check_axioms_exhaustive_witnesses_are_pinned():
     assert failures == {"order-irreflexive": "a=0", "order-acyclic": "cycle through 0"}
     failures = {c.name: c.witness for c in check_axioms(BrokenWitness(24)).failures()}
     assert failures == {"reduction-decreases": "a=0 c=1 i=0 m=0"}
+
+
+def _failures(dom):
+    report = check_axioms(dom)
+    return report.mode, {c.name: c.witness for c in report.failures()}
+
+
+# The first breaking triple of each three-variable law in product order, as
+# the scan of every triple reports it.
+@pytest.mark.parametrize(
+    "law, n, failures",
+    [
+        ("add-associative", 12, {
+            "add-associative": "a=0 b=1 c=1",
+            "mul-distributes-over-add": "a=2 b=0 c=1",
+            "zero-additive-identity": "a=2",
+            "additive-inverse": "a=1",
+            "reduction-decreases": "a=1 c=1 i=0 m=1",
+        }),
+        ("add-associative", 24, {
+            "add-associative": "a=0 b=0 c=2",
+            "mul-distributes-over-add": "a=2 b=0 c=1",
+            "zero-additive-identity": "a=2",
+            "additive-inverse": "a=1",
+            "reduction-decreases": "a=1 c=1 i=0 m=1",
+        }),
+        *(("mul-associative", n, {
+            "mul-associative": "a=0 b=0 c=1",
+            "mul-distributes-over-add": "a=0 b=0 c=0",
+            "one-multiplicative-identity": "a=0",
+            "reduction-decreases": "a=1 c=1 i=0 m=1",
+        }) for n in (12, 24)),
+        *(("order-transitive", n, {
+            "order-transitive": f"a=0 b=1 c={n // 2}",
+            "order-acyclic": "cycle through 0",
+            "zero-least": f"a={n // 2}",
+            "reduction-decreases": f"a={n // 2} c=1 i=0 m={n // 2}",
+        }) for n in (12, 24)),
+    ],
+)
+def test_three_variable_law_witnesses_are_pinned(law, n, failures):
+    assert _failures(LAW_MUTANTS[law](n)) == ("exhaustive", failures)
+
+
+class AddUnreduced(IntegerQuotientDomain):
+    """Z/nZ whose sums leave the carrier {0, ..., n-1}."""
+
+    def add(self, a, b):
+        return a + b
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_exhaustive_check_of_operations_leaving_the_carrier(n):
+    assert _failures(AddUnreduced(n)) == ("exhaustive", {
+        "mul-distributes-over-add": f"a=1 b=1 c={n - 1}",
+        "additive-inverse": "a=1",
+        "reduction-decreases": "a=1 c=1 i=0 m=1",
+    })
+
+
+def test_exhaustive_reports_are_pinned():
+    digest = hashlib.sha256()
+    doms = [make_integer_quotient_domain(n) for n in range(1, 61)]
+    doms += [LAW_MUTANTS[law](n) for law in sorted(LAW_MUTANTS) for n in (1, 2, 12, 36, 60)]
+    for dom in doms:
+        digest.update(check_axioms(dom).to_text().encode() + b"\n")
+    assert digest.hexdigest() == "6293240c05dd5c617430ccc328ddd0caa52afbce1b51008b55ce6c03258340ab"
+
+
+def test_exhaustive_check_calls_each_operation_once_per_pair():
+    calls = {"add": 0, "mul": 0}
+
+    class Counted(IntegerQuotientDomain):
+        def add(self, a, b):
+            calls["add"] += 1
+            return super().add(a, b)
+
+        def mul(self, a, b):
+            calls["mul"] += 1
+            return super().mul(a, b)
+
+    assert check_axioms(Counted(36)).ok
+    assert calls["add"] < 36**3 and calls["mul"] < 36**3, calls
