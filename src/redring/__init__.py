@@ -22,6 +22,7 @@ from .core import (
     ContractViolationError,
     Domain,
     NonTerminationError,
+    basis_rows,
     check_axioms,
     normal_form,
     project_reduction_relation,
@@ -74,6 +75,7 @@ __all__ = [
     "PolyRing",
     "RationalFieldDomain",
     "TermOrder",
+    "basis_rows",
     "check_axioms",
     "connectible_below",
     "equivalent",

@@ -38,6 +38,7 @@ from .core import (
     ContractViolationError,
     Domain,
     NonTerminationError,
+    basis_rows,
     check_axioms,
 )
 from .poly import TermOrder, make_poly_domain
@@ -227,10 +228,10 @@ def _cmd_member(args) -> int:
     dom, gens, probes = _resolve(pf, args)
     if not probes:
         raise ProblemParseError("no probe given (use --probe or a probes: section)")
-    basis = _complete(dom, gens, args).basis
+    rows = basis_rows(dom, _complete(dom, gens, args).basis)
     verdicts = []
     for probe in probes:
-        h = dom.normal_form(probe, basis, args.max_steps, None)
+        h = dom.normal_form(probe, rows, args.max_steps, None)
         verdicts.append((probe, not h, h))
     if args.json:
         rendered = [

@@ -67,12 +67,21 @@ class Domain:
     or None when m is None.  Critical pairs and ``reduce_step`` form their
     steps through it.  The default is ``sub(a, mul(m, c))``, and a domain
     may override it with a shorter rule that gives the same values
-    (``PolyRing.reduct``).  ``normal_form(a, basis, max_steps, steps)``
-    totally reduces a and returns the irreducible h; when steps is a list
-    it appends each step (pos, m) to it, and when steps is None it builds
-    no multiplier m, which is all ``member_ideal`` needs.  The default
-    repeats ``reduce_step``, and a domain may override it with a faster
-    rule that keeps the results' meaning (``core.normal_form``).
+    (``PolyRing.reduct``).  ``reducer_rows(pos, c)`` lists the rewrites
+    the element c at basis position pos offers a normal form, in the order
+    they are tried; ``normal_form(a, rows, max_steps, steps)`` reads the
+    rows of a basis, element after element in declared order
+    (``basis_rows``), totally reduces a and returns the irreducible h.
+    When steps is a list it appends each step (pos, m) to it, and when
+    steps is None it builds no multiplier m, which is all ``member_ideal``
+    needs.  The rows are the domain's own: by default one (pos, c) row,
+    tried at every multiplier index in turn, so that the default normal
+    form repeats the ``reduce_step`` rule.  A domain may override both
+    hooks with a faster rule that keeps the results' meaning
+    (``core.normal_form``): the polynomial rings build each element's
+    coefficient and power-product data once, into its rows.  A basis that
+    grows, as in completion, extends its row list by the new element's
+    rows, so no element's rows are built twice.
     ``canonical_associate`` picks the display representative of an
     element's associates (``redring gb --monic``).
     Three optional hooks stay None where the domain has no sound, cheap
@@ -138,12 +147,20 @@ class Domain:
         carrier = self.enumerate_carrier()
         return None if carrier is None else len(carrier)
 
-    def normal_form(self, a, basis: Sequence, max_steps: int, steps: Optional[list]):
-        """``core.normal_form`` by repeated ``reduce_step``: the generic rule, kept by scalars."""
+    def reducer_rows(self, pos: int, c) -> tuple:
+        """The one row (pos, c): c is tried at every multiplier index in turn."""
+        return ((pos, c),)
+
+    def normal_form(self, a, rows: Sequence, max_steps: int, steps: Optional[list]):
+        """``core.normal_form`` by repeated first steps: the generic rule, kept by scalars.
+
+        Each step is the one ``reduce_step`` takes on the basis the (pos, c)
+        rows list.
+        """
         taken = 0
         current = a
         while True:
-            step = reduce_step(self, current, basis)
+            step = _first_step(self, current, rows)
             if step is None:
                 return current
             if taken == max_steps:
@@ -184,13 +201,29 @@ def reduce_step(dom: Domain, a, basis: Sequence) -> Optional[tuple]:
     a sequence of these steps can take a different path to a different
     irreducible element.
     """
-    for pos, c in enumerate(basis):
+    return _first_step(dom, a, enumerate(basis))
+
+
+def _first_step(dom: Domain, a, rows: Iterable) -> Optional[tuple]:
+    """``reduce_step`` over (pos, c) rows: (b, pos, m) from the first row and index that reduce a."""
+    for pos, c in rows:
         for index in dom.multiplier_indices:
             step = dom.reduct(a, c, index)
             if step is not None:
                 m, b = step
                 return b, pos, m
     return None
+
+
+def basis_rows(dom: Domain, basis: Sequence) -> list:
+    """The reducer rows ``dom.normal_form`` reads for a basis: each nonzero
+    element's ``dom.reducer_rows``, in declared order.
+
+    A zero element reduces nothing (a - m*0 is never below a), so it has
+    no rows.  The rows are built anew on every call, from the elements the
+    basis holds then.
+    """
+    return [row for pos, c in enumerate(basis) if c for row in dom.reducer_rows(pos, c)]
 
 
 def step_cap_exceeded(dom: Domain, a, max_steps: int) -> NonTerminationError:
@@ -214,12 +247,13 @@ def normal_form(
     so a - h is the sum of the m*basis[pos].  At most ``max_steps`` steps
     are taken; a that needs one more raises ``NonTerminationError``.  Which
     steps are taken is the domain's rule: the generic one of
-    ``Domain.normal_form``, or top-down on polynomial rings.  A caller that
-    reads no step calls ``dom.normal_form(a, basis, max_steps, None)``
-    instead, which returns h alone and takes the same steps.
+    ``Domain.normal_form``, or top-down on polynomial rings.  The reducer
+    rows are built from the basis (``basis_rows``).  A caller that reads no
+    step calls ``dom.normal_form(a, basis_rows(dom, basis), max_steps,
+    None)`` instead, which returns h alone and takes the same steps.
     """
     steps: list = []
-    return dom.normal_form(a, basis, max_steps, steps), steps
+    return dom.normal_form(a, basis_rows(dom, basis), max_steps, steps), steps
 
 
 def project_reduction_relation(dom: Domain, basis: Sequence, universe: Iterable) -> FiniteRelation:

@@ -22,6 +22,18 @@ Only ``PolyRing.poly`` collects unordered (coefficient, power product) pairs
 through a dict and a sort.  It validates its input and builds parsed and
 user-supplied polynomials; no internal result goes through it.
 
+A reduction step is one pass.  The rewritten term c*x^pp and the lead
+lc*x^lpp of the reducing row meet at the same power product, so the step
+combines them directly into c + (-mc)*lc, kept when nonzero (over Z and
+Z/nZ a term can stay at its power product), and merges only the row's
+tail, shifted and scaled, into the terms below pp.  ``normal_form``
+appends each settled term to a list and keeps each unsettled term's rank,
+computed once; ``reduct`` joins f's terms above pp, the combined term and
+that merge.  Each basis element's reducer rows (``reducer_rows``: its
+lead, its tail and, over Z/nZ, those of its "ann" shadows) are built once
+per completion walk, when it joins the basis, and every normal form of the
+walk reads the one growing row list.
+
 ``make_poly_domain`` chooses the reduction rule once, from the coefficient
 domain: where it offers the ``integer_image`` hook (Q) the ring is a
 ``FractionFreePolyRing``, whose normal form and reduct take the steps of
@@ -438,13 +450,14 @@ class PolyRing(Domain):
 
     def _reducers(self, g: Polynomial) -> tuple:
         """Every rewrite g offers, as (index, coefficient index, scalar, lead
-        coefficient, lead power product, terms) rows.
+        coefficient, lead power product, tail) rows.
 
         At an ordinary index the one row rewrites with g itself, and its
         scalar is None.  At "ann" there is a row for each shadow scalar*g of
-        the ann family crossed with each coefficient index.  The rows come
-        in the order ``find_multiplier`` and ``normal_form`` both try them,
-        and are built once per polynomial object and cached in ``g._rows``.
+        the ann family crossed with each coefficient index.  The tail is
+        the row's terms after its lead.  The rows come in the order
+        ``find_multiplier`` and ``normal_form`` both try them, and are
+        built once per polynomial object and cached in ``g._rows``.
         """
         try:
             return g._rows
@@ -453,78 +466,95 @@ class PolyRing(Domain):
         rows = []
         for index in self.multiplier_indices:
             if index != "ann":
-                rows.append((index, index, None, *g.terms[0], g.terms))
+                rows.append((index, index, None, *g.terms[0], g.terms[1:]))
                 continue
             for scalar, shadow in self._ann_family(g):
                 for cindex in self.coeff.multiplier_indices:
-                    rows.append((index, cindex, scalar, *shadow.terms[0], shadow.terms))
+                    rows.append((index, cindex, scalar, *shadow.terms[0], shadow.terms[1:]))
         g._rows = tuple(rows)
         return g._rows
 
+    def reducer_rows(self, pos: int, g: Polynomial) -> list:
+        """g's ``_reducers`` rows for ``normal_form``, each paired with pos."""
+        return [(pos, row) for row in self._reducers(g)]
+
     def _scan(self, f: tuple, g_lc, g_pp: Pp, index) -> Optional[tuple]:
-        """The multiplier for the greatest term of the term tuple f that a
-        lead g_lc*x^g_pp reduces at index, as a (coefficient, power product)
-        pair."""
+        """(k, mc, q): the position k of the greatest term of the term tuple
+        f that a lead g_lc*x^g_pp reduces at index, and the multiplier
+        mc*x^q that reduces it."""
         find = self.coeff.find_multiplier
-        for c, pp in f:
+        for k, (c, pp) in enumerate(f):
             if all(map(_le, g_pp, pp)):
                 m = find(c, g_lc, index)
                 if m is not None:
-                    return m, tuple(map(_sub_exps, pp, g_pp))
+                    return k, m, tuple(map(_sub_exps, pp, g_pp))
         return None
 
     def _hit(self, f: Polynomial, g: Polynomial, index) -> Optional[tuple]:
-        """(mc, q, scalar, terms): the first row of g at index (``_reducers``)
-        that reduces a term of f, with that row's ``_scan`` multiplier
-        mc*x^q; None when no row does."""
+        """(k, mc, q, scalar, lc, tail): the first row of g at index
+        (``_reducers``) that reduces a term of f, with that row's ``_scan``
+        result; None when no row does."""
         if not f.terms or not g.terms:
             return None
-        for i, cindex, scalar, lc, lpp, terms in self._reducers(g):
+        for i, cindex, scalar, lc, lpp, tail in self._reducers(g):
             hit = self._scan(f.terms, lc, lpp, cindex) if i == index else None
             if hit:
-                return (*hit, scalar, terms)
+                return (*hit, scalar, lc, tail)
         return None
 
     def find_multiplier(self, f: Polynomial, g: Polynomial, index) -> Optional[Polynomial]:
         hit = self._hit(f, g, index)
         if hit is None:
             return None
-        mc, q, scalar, _terms = hit
+        _k, mc, q, scalar, _lc, _tail = hit
         return self._term(mc if scalar is None else self.coeff.mul(mc, scalar), q)
 
     def reduct(self, f: Polynomial, g: Polynomial, index) -> Optional[tuple]:
         """(m, f - m*g) for the ``find_multiplier`` witness m, None without one.
 
         The row that ``find_multiplier`` takes gives m = mc*x^q at an
-        ordinary index and m = mc*scalar*x^q at "ann", where the row's
-        terms are those of the shadow scalar*g.  Either way m*g is
-        mc*x^q times the row's terms, so f - m*g is one ``_merge`` of f
-        with ``_scale(-mc, q, terms)``: no product polynomial m*g and no
-        negation of each of its terms.
+        ordinary index and m = mc*scalar*x^q at "ann", where the row is
+        that of the shadow scalar*g.  Either way m*g is mc*x^q times the
+        row's terms, and its lead falls on the hit term c*x^pp, k-th in f.
+        So f - m*g is f's terms above pp, then the term c + (-mc)*lc at pp
+        where it is nonzero (over Z and Z/nZ a term can stay there), then
+        one ``_merge`` of f's terms below pp with (-mc)*x^q times the row's
+        tail: no product polynomial m*g and no negation of its terms.
         """
         hit = self._hit(f, g, index)
         if hit is None:
             return None
-        mc, q, scalar, terms = hit
-        m = self._term(mc if scalar is None else self.coeff.mul(mc, scalar), q)
-        scaled = self._scale(self.coeff.neg(mc), q, terms)
-        return m, Polynomial(self, self._merge(f.terms, scaled, False))
+        k, mc, q, scalar, lc, tail = hit
+        coeff = self.coeff
+        m = self._term(mc if scalar is None else coeff.mul(mc, scalar), q)
+        nmc = coeff.neg(mc)
+        c, pp = f.terms[k]
+        c = coeff.add(c, coeff.mul(nmc, lc))
+        head = (_new_tuple(Monomial, (c, pp)),) if c else ()
+        rest = self._merge(f.terms[k + 1 :], self._scale(nmc, q, tail), False)
+        return m, Polynomial(self, f.terms[:k] + head + rest)
 
-    def normal_form(self, a: Polynomial, basis: Sequence, max_steps: int, steps: Optional[list]) -> Polynomial:
-        """Totally reduce a modulo the basis, top-down.
+    def normal_form(self, a: Polynomial, rows: Sequence, max_steps: int, steps: Optional[list]) -> Polynomial:
+        """Totally reduce a modulo the basis whose ``reducer_rows`` are rows, top-down.
 
-        The terms are walked from the top.  The current term is rewritten
-        by the first (element, index) pair in declared order, and at "ann"
-        the first shadow and coefficient index (``_reducers``), that
-        reduces it: one ``_scale`` and one ``_merge`` turn the unsettled
-        part r into r + (-mc)*x^q*g', where g' is g or, at "ann", the
-        shadow scalar*g, and the step is appended to steps as (pos, mc*x^q)
-        or (pos, mc*scalar*x^q), a multiplier of basis[pos] itself, unless
-        steps is None: then that multiplier is never built.  A term
-        that no pair reduces is settled and never probed again.  Over Z and
-        Z/nZ the rewritten term may stay at the same power product (a
-        Euclidean remainder, a smaller residue); it is then probed again.
-        ``max_steps`` steps are allowed.
+        The terms are walked from the top.  The current term c*x^pp is
+        rewritten by the first row, element after element in declared
+        order and within one element in ``_reducers`` order (at "ann" the
+        first shadow and coefficient index), that reduces it, with the
+        coefficient witness mc and q = pp - lpp for the row's lead
+        lc*x^lpp.  The step subtracts mc*x^q times the row's terms, which
+        are those of g or, at "ann", of the shadow scalar*g, in one pass:
+        the term becomes c + (-mc)*lc at pp, and the row's tail, shifted by
+        q and scaled by -mc, is merged into the unsettled terms below pp.
+        The step is appended to steps as (pos, mc*x^q) or
+        (pos, mc*scalar*x^q), a multiplier of basis[pos] itself, unless
+        steps is None: then that multiplier is never built.  A term that
+        no row reduces is settled, appended to the result, and never probed
+        again.  Over Z and Z/nZ the rewritten term may stay at the same
+        power product (a Euclidean remainder, a smaller residue); it is
+        then probed again.  Each unsettled term carries its rank
+        (``TermOrder.rank``), computed once, so a step ranks only the tail
+        terms it shifts.  ``max_steps`` steps are allowed.
 
         Why the result means what the generic loop's result means: every
         settled term is irreducible by every element, so the term being
@@ -537,19 +567,24 @@ class PolyRing(Domain):
         criterion, ``member_ideal`` and the cofactor rows keep their
         meaning.
         """
-        reducers = [(pos, row) for pos, g in enumerate(basis) if g for row in self._reducers(g)]
-        find, mul, neg = self.coeff.find_multiplier, self.coeff.mul, self.coeff.neg
+        coeff = self.coeff
+        find, add, mul, neg = coeff.find_multiplier, coeff.add, coeff.mul, coeff.neg
+        rank, descending = self.order.rank, self.order.descending
         taken = 0
-        h, k = a.terms, 0  # h[:k] is settled
-        while k < len(h):
-            c, pp = h[k]
-            for pos, (_, cindex, scalar, lc, lpp, g_terms) in reducers:
+        done: list = []  # the settled terms
+        r = [(rank(m.pp), m) for m in a.terms]  # the unsettled terms, ranked, from r[i] on
+        i, n = 0, len(r)
+        while i < n:
+            rk, mono = r[i]
+            c, pp = mono
+            for pos, (_, cindex, scalar, lc, lpp, tail) in rows:
                 if all(map(_le, lpp, pp)):
                     mc = find(c, lc, cindex)
                     if mc is not None:
                         break
             else:
-                k += 1
+                done.append(mono)
+                i += 1
                 continue
             if taken == max_steps:
                 raise step_cap_exceeded(self, a, max_steps)
@@ -557,8 +592,33 @@ class PolyRing(Domain):
             q = tuple(map(_sub_exps, pp, lpp))
             if steps is not None:
                 steps.append((pos, self._term(mc if scalar is None else mul(mc, scalar), q)))
-            h = h[:k] + self._merge(h[k:], self._scale(neg(mc), q, g_terms), False)
-        return Polynomial(self, h)
+            nmc = neg(mc)
+            c = add(c, mul(nmc, lc))
+            out = [(rk, _new_tuple(Monomial, (c, pp)))] if c else []
+            append = out.append
+            i += 1
+            for gc, gpp in tail:
+                d = mul(nmc, gc)
+                if not d:
+                    continue
+                tpp = tuple(map(_add_exps, q, gpp))
+                trk = rank(tpp)
+                while i < n:
+                    term = r[i]
+                    rr = term[0]
+                    if rr == trk:
+                        d = add(term[1][0], d)
+                        i += 1
+                        break
+                    if (rr < trk) != descending:
+                        break  # the shifted tail term is above r[i]
+                    append(term)
+                    i += 1
+                if d:
+                    append((trk, _new_tuple(Monomial, (d, tpp))))
+            out += r[i:]
+            r, i, n = out, 0, len(out)
+        return Polynomial(self, tuple(done))
 
     def mntcrs(self, g1: Polynomial, i1, g2: Polynomial, i2) -> list:
         if not (g1 and g2):
@@ -756,8 +816,8 @@ class FractionFreePolyRing(PolyRing):
         """(L, d, tail) with g = (L*x^lpp + tail)/d, lpp g's lead power product.
 
         The tail is a tuple of (integer, power product) terms over the
-        denominator d of ``integer_image``.  Built when a step or a reduct
-        first rewrites with g, and cached in ``g._lift``.
+        denominator d of ``integer_image``.  Built when g's reducer rows or
+        a reduct first need it, and cached in ``g._lift``.
         """
         try:
             return g._lift
@@ -805,7 +865,15 @@ class FractionFreePolyRing(PolyRing):
             r = terms[:k] + self._merge(terms[k + 1 :], r, False)
         return self._term(ratio(n * d, DL), q), Polynomial(self, r)
 
-    def normal_form(self, a: Polynomial, basis: Sequence, max_steps: int, steps: Optional[list]) -> Polynomial:
+    def reducer_rows(self, pos: int, g: Polynomial) -> tuple:
+        """The one row (pos, lead power product, ``_image``) of g.
+
+        Over a field g reduces exactly the terms its lead power product
+        divides, at every index, so one row stands for all of them.
+        """
+        return ((pos, g.terms[0].pp, self._image(g)),)
+
+    def normal_form(self, a: Polynomial, rows: Sequence, max_steps: int, steps: Optional[list]) -> Polynomial:
         """``PolyRing.normal_form`` on integer numerators.
 
         The steps are those of the top-down loop: over a field the first
@@ -813,8 +881,9 @@ class FractionFreePolyRing(PolyRing):
         A settled term that no step has changed is a's own monomial, as it is
         in the loop over ``Fraction``.  From the first step on, the unsettled
         part is R/D, R a list of integer terms, and each basis element g is
-        (L*x^lpp + tail)/d (``_image``).  The step that takes the term C*x^pp
-        of R with g, with e = gcd(C, L) signed as L, is one merge:
+        (L*x^lpp + tail)/d (``_image``, read from its row).  The step that
+        takes the term C*x^pp of R with g, with e = gcd(C, L) signed as L,
+        is one merge:
 
             R/D - C*d/(D*L) * x^q * g = ((L/e)*R - (C/e)*x^q*(L*x^lpp + tail)) / (D*L/e)
 
@@ -828,7 +897,6 @@ class FractionFreePolyRing(PolyRing):
         pass over R, and on katsura6 trying it after every step cost more than
         it saved.
         """
-        reducers = [(pos, g.terms[0].pp, g) for pos, g in enumerate(basis) if g]
         ratio = self.coeff.ratio
         rank, descending = self.order.rank, self.order.descending
         taken = 0
@@ -837,7 +905,7 @@ class FractionFreePolyRing(PolyRing):
         r, i, D = a.terms, 0, None  # r[:i] is settled; D is None before the first step
         while i < len(r):
             pp = r[i][-1]
-            for pos, lpp, g in reducers:
+            for pos, lpp, image in rows:
                 if all(map(_le, lpp, pp)):
                     break
             else:
@@ -854,7 +922,7 @@ class FractionFreePolyRing(PolyRing):
                 ns, D = self.coeff.integer_image([m.coeff for m in r[i:]])
                 r, i = [(rank(m.pp), n, m, m.pp) for n, m in zip(ns, r[i:])], 0
             C = r[i][1]
-            L, d, tail = self._image(g)
+            L, d, tail = image
             q = tuple(map(_sub_exps, pp, lpp))
             if steps is not None:
                 steps.append((pos, self._term(ratio(C * d, D * L), q)))

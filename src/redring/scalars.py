@@ -57,10 +57,23 @@ class RationalFieldDomain(Domain):
         return self.one if a else a
 
     def parse(self, text: str) -> Fraction:
+        """The rational text denotes, as ``Fraction(text)`` reads it.
+
+        ASCII digits p, or p/q with q != 0, the literals of polynomial
+        text, are built from their integers directly, past the regular
+        expression ``Fraction`` matches every string against.
+        """
+        text = text.strip()
         try:
-            return Fraction(text.strip())
+            num, slash, den = text.partition("/")
+            if num.isascii() and num.isdigit():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isascii() and den.isdigit() and int(den):
+                    return Fraction(int(num), int(den))
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {text.strip()!r}") from exc
+            raise ValueError(f"not a rational: {text!r}") from exc
 
     def sample_elements(self, rng: random.Random, count: int) -> list:
         return [

@@ -969,6 +969,39 @@ def test_checker_skips_pairs_that_provably_join(monkeypatch):
     assert calls == [None] * len(calls)
 
 
+def test_walk_builds_each_elements_rows_once(monkeypatch):
+    coeff, names, texts, _digest, _basis, _rows = GOLDEN["z24"]
+    R = make_poly_domain(coeff, tuple(names), "degrevlex")
+    gens = [R.parse(t) for t in texts]
+    built, forms = [], []
+    real_rows, real_form = R.reducer_rows, R.normal_form
+    monkeypatch.setattr(R, "reducer_rows", lambda pos, g: built.append((pos, g)) or real_rows(pos, g))
+    monkeypatch.setattr(R, "normal_form", lambda *args: forms.append(args[1]) or real_form(*args))
+    G = gb(R, gens).basis
+    # once per element, when it joins the basis, in basis order
+    assert built == list(enumerate(G))
+    assert len(forms) > len(G) and all(rows is forms[0] for rows in forms)
+    built.clear()
+    forms.clear()
+    assert is_groebner_basis(R, list(G))
+    assert built == list(enumerate(G))
+    assert len(forms) > len(G)
+
+
+def test_member_ideal_reads_the_basis_it_is_given():
+    R = make_poly_domain(make_integer_quotient_domain(24), ("x", "y"), "degrevlex")
+    basis = [R.parse("x^2")]
+    probe = R.parse("6*y + 5*x^3")
+    assert not member_ideal(R, probe, basis)
+    # the same list object, changed between calls: no rows are kept for it
+    basis.append(R.parse("2*y"))
+    assert member_ideal(R, probe, basis)
+    basis[1] = R.parse("y^2")
+    assert not member_ideal(R, probe, basis)
+    basis[0] = R.parse("5")  # a unit generates the whole ring
+    assert member_ideal(R, probe, basis)
+
+
 def record_formed_pairs(monkeypatch) -> list:
     """Record (g1, i1, g2, i2) for every critical pair the engine forms."""
     import redring.buchberger as engine

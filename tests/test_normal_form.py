@@ -5,7 +5,9 @@ settles each irreducible term once; ``Domain.normal_form``, the loop over
 ``reduce_step``, is the reference.  Over Q the same steps run on integer
 numerators; the top-down loop over ``Fraction`` coefficients is the
 reference there.  One step, ``reduct``, is checked against its
-definition.  Seeded with stdlib ``random``.
+definition.  Over Z and Z/nZ each step is one pass, and the loop that
+rebuilt the whole polynomial on every step, kept at the end of this file,
+is the reference it must equal exactly.  Seeded with stdlib ``random``.
 """
 
 import random
@@ -14,8 +16,16 @@ from fractions import Fraction
 import pytest
 
 from redring.buchberger import gb, member_ideal
-from redring.core import DEFAULT_STEP_BOUND, Domain, NonTerminationError, normal_form, reduce_step
-from redring.poly import make_poly_domain
+from redring.core import (
+    DEFAULT_STEP_BOUND,
+    Domain,
+    NonTerminationError,
+    basis_rows,
+    normal_form,
+    reduce_step,
+    step_cap_exceeded,
+)
+from redring.poly import PolyRing, Polynomial, make_poly_domain
 from redring.scalars import (
     RationalFieldDomain,
     make_field_domain,
@@ -74,13 +84,14 @@ def test_top_down_normal_form_keeps_its_contract(name, order):
         assert a - h == combination, shown
         # with no step list: the same h within as many steps, the same
         # message at a lower cap
-        assert R.normal_form(a, basis, len(steps), None) == h, shown
+        rows = basis_rows(R, basis)
+        assert R.normal_form(a, rows, len(steps), None) == h, shown
         if steps:
             cap = rng.randrange(len(steps))
             with pytest.raises(NonTerminationError) as kept:
-                R.normal_form(a, basis, cap, [])
+                R.normal_form(a, rows, cap, [])
             with pytest.raises(NonTerminationError) as stepless:
-                R.normal_form(a, basis, cap, None)
+                R.normal_form(a, rows, cap, None)
             assert str(kept.value) == str(stepless.value), shown
 
 
@@ -99,7 +110,7 @@ def test_member_verdicts_agree_with_the_generic_loop(name, order):
             combination = combination + random_poly(rng, R, 2, 9) * g
         for p in (combination, random_poly(rng, R, 4, 30), combination + random_poly(rng, R, 1, 9)):
             top_down = not normal_form(R, p, G)[0]
-            generic = not Domain.normal_form(R, p, G, DEFAULT_STEP_BOUND, [])
+            generic = not Domain.normal_form(R, p, list(enumerate(G)), DEFAULT_STEP_BOUND, [])
             assert top_down == generic == member_ideal(R, p, G), (R.render(p), [R.render(g) for g in G])
             verdicts.append(top_down)
     assert True in verdicts and False in verdicts
@@ -140,15 +151,16 @@ def test_fraction_free_normal_form_matches_the_fraction_loop(order):
         shown = (R.render(a), [R.render(g) for g in basis])
         h, steps = normal_form(R, a, basis)
         assert (h, steps) == normal_form(reference, a, basis), shown
-        assert R.normal_form(a, basis, DEFAULT_STEP_BOUND, None) == h, shown
+        rows = basis_rows(R, basis)
+        assert R.normal_form(a, rows, DEFAULT_STEP_BOUND, None) == h, shown
         if steps:
             cap = rng.randrange(len(steps))
             with pytest.raises(NonTerminationError) as fraction_free:
-                R.normal_form(a, basis, cap, [])
+                R.normal_form(a, rows, cap, [])
             with pytest.raises(NonTerminationError) as stepless:
-                R.normal_form(a, basis, cap, None)
+                R.normal_form(a, rows, cap, None)
             with pytest.raises(NonTerminationError) as fraction_loop:
-                reference.normal_form(a, basis, cap, [])
+                reference.normal_form(a, basis_rows(reference, basis), cap, [])
             assert str(fraction_free.value) == str(stepless.value) == str(fraction_loop.value), shown
             capped += 1
     assert capped > 100
@@ -223,7 +235,8 @@ def test_member_ideal_builds_no_step_multiplier(name, monkeypatch):
 
 
 # reduct against its definition, (m, f - m*g) for the find_multiplier witness
-# m: the generic PolyRing.reduct merges a scaled row of _reducers into f,
+# m: the generic PolyRing.reduct combines the hit term of f with the lead of
+# a row of _reducers and merges the row's scaled tail into the rest of f,
 # and over Q FractionFreePolyRing.reduct builds it on integer numerators
 REDUCT_COEFFS = {**COEFFS, "q-fraction-loop": FractionLoopQ()}
 
@@ -335,3 +348,159 @@ def test_rational_reduct_does_no_coefficient_arithmetic(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert (m, a) == (R.parse("-10/9*y*z"), R.parse("-4/9*y^2*z^2 + 70/27*y*z"))
+
+
+# The generic rule as it was before each step became one pass: the normal
+# form rebuilt h[:k] + _merge(h[k:], scaled row) on every step, and reduct
+# merged the whole scaled row, lead included, into f.  Kept here only, as
+# the reference the one-pass PolyRing.normal_form and reduct must equal.
+
+
+def reference_rows(R, g) -> list:
+    """(index, coefficient index, scalar, lead coefficient, lead power
+    product, terms) rows of g, in the order both references try them."""
+    rows = []
+    for index in R.multiplier_indices:
+        if index != "ann":
+            rows.append((index, index, None, *g.terms[0], g.terms))
+            continue
+        for scalar, shadow in R._ann_family(g):
+            for cindex in R.coeff.multiplier_indices:
+                rows.append((index, cindex, scalar, *shadow.terms[0], shadow.terms))
+    return rows
+
+
+def reference_normal_form(R, a, basis, max_steps, steps):
+    reducers = [(pos, row) for pos, g in enumerate(basis) if g for row in reference_rows(R, g)]
+    find, mul, neg = R.coeff.find_multiplier, R.coeff.mul, R.coeff.neg
+    taken = 0
+    h, k = a.terms, 0  # h[:k] is settled
+    while k < len(h):
+        c, pp = h[k]
+        for pos, (_, cindex, scalar, lc, lpp, g_terms) in reducers:
+            if all(e <= f for e, f in zip(lpp, pp)):
+                mc = find(c, lc, cindex)
+                if mc is not None:
+                    break
+        else:
+            k += 1
+            continue
+        if taken == max_steps:
+            raise step_cap_exceeded(R, a, max_steps)
+        taken += 1
+        q = tuple(f - e for e, f in zip(lpp, pp))
+        if steps is not None:
+            steps.append((pos, R._term(mc if scalar is None else mul(mc, scalar), q)))
+        h = h[:k] + R._merge(h[k:], R._scale(neg(mc), q, g_terms), False)
+    return Polynomial(R, h)
+
+
+def reference_reduct(R, f, g, index):
+    if not f.terms or not g.terms:
+        return None
+    for i, cindex, scalar, lc, lpp, terms in reference_rows(R, g):
+        if i != index:
+            continue
+        for c, pp in f.terms:
+            if all(e <= x for e, x in zip(lpp, pp)):
+                mc = R.coeff.find_multiplier(c, lc, cindex)
+                if mc is not None:
+                    q = tuple(x - e for e, x in zip(lpp, pp))
+                    m = R._term(mc if scalar is None else R.coeff.mul(mc, scalar), q)
+                    scaled = R._scale(R.coeff.neg(mc), q, terms)
+                    return m, Polynomial(R, R._merge(f.terms, scaled, False))
+    return None
+
+
+def replayed_kinds(R, a, basis, steps) -> tuple:
+    """(stays, ann): how many steps left a term at the power product they
+    rewrote, and how many rewrote through a shadow of the "ann" index.
+
+    The lead of m*g is the rewritten term; a step at an ordinary index has
+    it at m's power product times g's lead power product, one through a
+    shadow (whose lead sits lower in g) below that.
+    """
+    stays = ann = 0
+    current = a
+    for pos, m in steps:
+        g = basis[pos]
+        shift = R.mul(m, g)
+        after = R.sub(current, shift)
+        top = shift.leading_pp()
+        stays += top in {pp for _, pp in after.terms}
+        ann += top != tuple(x + y for x, y in zip(m.leading_pp(), g.leading_pp()))
+        current = after
+    return stays, ann
+
+
+ONE_PASS_RINGS = {
+    "z[x,y,z]": (make_integer_domain, ("x", "y", "z")),
+    "zmod24[x,y]": (lambda: make_integer_quotient_domain(24), ("x", "y")),
+    "zmod72[x,y]": (lambda: make_integer_quotient_domain(72), ("x", "y")),
+    "zmod360[x,y]": (lambda: make_integer_quotient_domain(360), ("x", "y")),
+}
+
+
+@pytest.mark.parametrize("order", ["lex", "deglex", "degrevlex"])
+@pytest.mark.parametrize("name", sorted(ONE_PASS_RINGS))
+def test_one_pass_normal_form_equals_the_rebuilding_loop(name, order):
+    make_coeff, names = ONE_PASS_RINGS[name]
+    R = make_poly_domain(make_coeff(), names, order)
+    assert type(R) is PolyRing
+    rng = random.Random(f"one-pass-{name}-{order}")
+    stays = ann = capped = 0
+    for _ in range(80):
+        basis = [random_reduct_poly(rng, R, 3) for _ in range(rng.randint(1, 3))]
+        a = random_reduct_poly(rng, R, 7)
+        shown = (R.render(a), [R.render(g) for g in basis])
+        want_steps: list = []
+        want = reference_normal_form(R, a, basis, DEFAULT_STEP_BOUND, want_steps)
+        h, steps = normal_form(R, a, basis)
+        assert h.terms == want.terms and steps == want_steps, shown
+        rows = basis_rows(R, basis)
+        assert R.normal_form(a, rows, len(steps), None).terms == h.terms, shown
+        kinds = replayed_kinds(R, a, basis, steps)
+        stays, ann = stays + kinds[0], ann + kinds[1]
+        if steps:
+            cap = rng.randrange(len(steps))
+            messages = set()
+            for run in (
+                lambda: R.normal_form(a, rows, cap, []),
+                lambda: R.normal_form(a, rows, cap, None),
+                lambda: reference_normal_form(R, a, basis, cap, []),
+            ):
+                with pytest.raises(NonTerminationError) as stopped:
+                    run()
+                messages.add(str(stopped.value))
+            assert len(messages) == 1, (shown, messages)
+            capped += 1
+    # Euclidean remainders and smaller residues stay at their power product;
+    # over Z/nZ some steps rewrite through the "ann" shadows
+    assert stays and capped
+    assert bool(ann) == ("ann" in R.multiplier_indices)
+
+
+@pytest.mark.parametrize("order", ["lex", "deglex", "degrevlex"])
+@pytest.mark.parametrize("name", sorted(ONE_PASS_RINGS))
+def test_one_pass_reduct_equals_the_whole_row_merge(name, order):
+    make_coeff, names = ONE_PASS_RINGS[name]
+    R = make_poly_domain(make_coeff(), names, order)
+    rng = random.Random(f"one-pass-reduct-{name}-{order}")
+    hits = {index: 0 for index in R.multiplier_indices}
+    stays = 0
+    for _ in range(150):
+        g = random_reduct_poly(rng, R, 4)
+        f = random_reduct_poly(rng, R, 6)
+        if rng.random() < 0.5:  # a mntcr-like f: one term at a multiple of g's lead
+            pp = tuple(e + rng.randint(0, 1) for e in g.leading_pp())
+            f = R.monomial(random_coeff(rng, R.coeff), pp) + random_reduct_poly(rng, R, 2)
+        for index in R.multiplier_indices:
+            want = reference_reduct(R, f, g, index)
+            got = R.reduct(f, g, index)
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            assert got[0].terms == want[0].terms and got[1].terms == want[1].terms
+            hits[index] += 1
+            stays += replayed_kinds(R, f, [g], [(0, got[0])])[0]
+    assert all(hits.values()) and stays, (hits, stays)

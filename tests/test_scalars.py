@@ -58,6 +58,24 @@ class TestField:
         for text in ("3/4", "-2", "0", "5"):
             assert Q.render(Q.parse(text)) == text
 
+    @pytest.mark.parametrize(
+        "text",
+        ["3/0", "1/00", " 7 ", "+3", "1.5", "\u00b2", "0", "007/014", "12/8", "-4/6", "3/ 4", "1_000", "", "x"],
+    )
+    def test_parse_reads_what_fraction_reads(self, text):
+        # the literal fast path builds ASCII p and p/q (q != 0) from integers;
+        # every text gives Fraction(text)'s value, or its "not a rational" error
+        try:
+            want = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError) as refused:
+                Q.parse(text)
+            assert str(refused.value) == f"not a rational: {text.strip()!r}"
+            assert isinstance(refused.value.__cause__, (ValueError, ZeroDivisionError))
+            return
+        got = Q.parse(text)
+        assert type(got) is Fraction and got == want
+
 
 class TestIntegers:
     def test_find_multiplier_examples(self):
