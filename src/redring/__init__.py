@@ -22,7 +22,6 @@ from .core import (
     ContractViolationError,
     Domain,
     NonTerminationError,
-    basis_rows,
     check_axioms,
     normal_form,
     project_reduction_relation,
@@ -75,7 +74,6 @@ __all__ = [
     "PolyRing",
     "RationalFieldDomain",
     "TermOrder",
-    "basis_rows",
     "check_axioms",
     "connectible_below",
     "equivalent",

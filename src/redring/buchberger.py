@@ -61,7 +61,6 @@ from .core import (
     ContractViolationError,
     Domain,
     NonTerminationError,
-    basis_rows,
     normal_form,  # noqa: F401 - kept as ``buchberger.normal_form``, which span tracing wraps
 )
 
@@ -253,15 +252,16 @@ def _walk(dom: Domain, basis: list, emit, chain: bool, max_steps: int, max_pairs
     (``GBTrace``) goes to ``emit``.  With ``emit`` None, the finite
     criterion's walk, no record is kept, the normal forms build no step
     multiplier (``Domain.normal_form`` with steps None) and the walk yields
-    None.  Each element's reducer rows (``Domain.reducer_rows``) are built
-    once, when it joins the basis, and every normal form of the walk reads
-    the one growing row list.  Popping pair number max_pairs + 1 raises
+    None.  The walk lists the given basis's reducer rows once
+    (``Domain.reducer_rows``), extends that list by ``reducer_rows(basis,
+    new)`` when h joins the basis at position new, and every normal form
+    of the walk reads it.  Popping pair number max_pairs + 1 raises
     ``NonTerminationError``.  A ``NonTerminationError`` or
     ``ContractViolationError`` raised while a pair is formed or reduced
     leaves with ``at pair i j with K basis elements`` added to its message.
     """
     keep = emit is not None
-    rows: list = []  # the reducer rows of the basis, extended as it grows
+    rows = dom.reducer_rows(basis)  # extended as the basis grows
 
     if keep:
 
@@ -282,7 +282,6 @@ def _walk(dom: Domain, basis: list, emit, chain: bool, max_steps: int, max_pairs
             emit(("prune", i, j, reason))
 
     for pos, g in enumerate(basis):
-        rows.extend(dom.reducer_rows(pos, g))
         emit(("init", pos, g))
         enqueue(pos)
     indices = dom.multiplier_indices
@@ -319,7 +318,7 @@ def _walk(dom: Domain, basis: list, emit, chain: bool, max_steps: int, max_pairs
                     continue
                 new = len(basis)
                 basis.append(h)
-                rows.extend(dom.reducer_rows(new, h))
+                rows.extend(dom.reducer_rows(basis, new))
                 emit(("add", new, h))
                 # h = -m1*basis[i] + m2*basis[j] - sum(steps1) + sum(steps2),
                 # the z contributions cancel exactly
@@ -401,9 +400,9 @@ def member_ideal(dom: Domain, a, basis: Sequence, *, max_steps: int = DEFAULT_ST
     Decides ideal membership when the basis is a Groebner basis, which
     ``is_groebner_basis`` checks.  The verdict reads h alone, so the normal
     form keeps no steps and builds no multiplier (``Domain.normal_form``).
-    The reducer rows are built from the basis on each call (``basis_rows``).
+    The rows are listed from the basis on each call (``Domain.reducer_rows``).
     """
-    return not dom.normal_form(a, basis_rows(dom, basis), max_steps, None)
+    return not dom.normal_form(a, dom.reducer_rows(basis), max_steps, None)
 
 
 def ideal_congruence_holds(dom: Domain, a, b, basis: Sequence) -> bool:

@@ -38,7 +38,6 @@ from .core import (
     ContractViolationError,
     Domain,
     NonTerminationError,
-    basis_rows,
     check_axioms,
 )
 from .poly import TermOrder, make_poly_domain
@@ -228,7 +227,7 @@ def _cmd_member(args) -> int:
     dom, gens, probes = _resolve(pf, args)
     if not probes:
         raise ProblemParseError("no probe given (use --probe or a probes: section)")
-    rows = basis_rows(dom, _complete(dom, gens, args).basis)
+    rows = dom.reducer_rows(_complete(dom, gens, args).basis)
     verdicts = []
     for probe in probes:
         h = dom.normal_form(probe, rows, args.max_steps, None)

@@ -67,21 +67,23 @@ class Domain:
     or None when m is None.  Critical pairs and ``reduce_step`` form their
     steps through it.  The default is ``sub(a, mul(m, c))``, and a domain
     may override it with a shorter rule that gives the same values
-    (``PolyRing.reduct``).  ``reducer_rows(pos, c)`` lists the rewrites
-    the element c at basis position pos offers a normal form, in the order
-    they are tried; ``normal_form(a, rows, max_steps, steps)`` reads the
-    rows of a basis, element after element in declared order
-    (``basis_rows``), totally reduces a and returns the irreducible h.
-    When steps is a list it appends each step (pos, m) to it, and when
-    steps is None it builds no multiplier m, which is all ``member_ideal``
-    needs.  The rows are the domain's own: by default one (pos, c) row,
-    tried at every multiplier index in turn, so that the default normal
-    form repeats the ``reduce_step`` rule.  A domain may override both
-    hooks with a faster rule that keeps the results' meaning
-    (``core.normal_form``): the polynomial rings build each element's
-    coefficient and power-product data once, into its rows.  A basis that
-    grows, as in completion, extends its row list by the new element's
-    rows, so no element's rows are built twice.
+    (``PolyRing.reduct``).  ``reducer_rows(basis, start)`` lists the rows
+    of the nonzero elements of basis[start:], each tagged with its
+    element's position pos in basis, in declared order: the rewrites a
+    normal form tries, in the order it tries them.  A zero element reduces
+    nothing (a - m*0 is never below a), so it has no rows.
+    ``normal_form(a, rows, max_steps, steps)`` reads such rows, totally
+    reduces a and returns the irreducible h.  When steps is a list it
+    appends each step (pos, m) to it, and when steps is None it builds no
+    multiplier m, which is all ``member_ideal`` needs.  The rows are the
+    domain's own: by default one (pos, c) row per element, tried at every
+    multiplier index in turn, so that the default normal form repeats the
+    ``reduce_step`` rule.  A domain may override both hooks with a faster
+    rule that keeps the results' meaning (``core.normal_form``): the
+    polynomial rings keep each element's coefficient and power-product
+    data with the element, and read it from its rows.  A basis that grows,
+    as in completion, extends its row list by
+    ``reducer_rows(basis, new)`` as the element at position new joins it.
     ``canonical_associate`` picks the display representative of an
     element's associates (``redring gb --monic``).
     Three optional hooks stay None where the domain has no sound, cheap
@@ -147,9 +149,10 @@ class Domain:
         carrier = self.enumerate_carrier()
         return None if carrier is None else len(carrier)
 
-    def reducer_rows(self, pos: int, c) -> tuple:
-        """The one row (pos, c): c is tried at every multiplier index in turn."""
-        return ((pos, c),)
+    def reducer_rows(self, basis: Sequence, start: int = 0) -> list:
+        """One (pos, c) row for each nonzero c at position pos >= start of the
+        basis: c is tried at every multiplier index in turn."""
+        return [(pos, c) for pos, c in enumerate(basis[start:], start) if c]
 
     def normal_form(self, a, rows: Sequence, max_steps: int, steps: Optional[list]):
         """``core.normal_form`` by repeated first steps: the generic rule, kept by scalars.
@@ -215,17 +218,6 @@ def _first_step(dom: Domain, a, rows: Iterable) -> Optional[tuple]:
     return None
 
 
-def basis_rows(dom: Domain, basis: Sequence) -> list:
-    """The reducer rows ``dom.normal_form`` reads for a basis: each nonzero
-    element's ``dom.reducer_rows``, in declared order.
-
-    A zero element reduces nothing (a - m*0 is never below a), so it has
-    no rows.  The rows are built anew on every call, from the elements the
-    basis holds then.
-    """
-    return [row for pos, c in enumerate(basis) if c for row in dom.reducer_rows(pos, c)]
-
-
 def step_cap_exceeded(dom: Domain, a, max_steps: int) -> NonTerminationError:
     """The error a normal form raises when a needs more than ``max_steps`` steps."""
     return NonTerminationError(
@@ -247,13 +239,13 @@ def normal_form(
     so a - h is the sum of the m*basis[pos].  At most ``max_steps`` steps
     are taken; a that needs one more raises ``NonTerminationError``.  Which
     steps are taken is the domain's rule: the generic one of
-    ``Domain.normal_form``, or top-down on polynomial rings.  The reducer
-    rows are built from the basis (``basis_rows``).  A caller that reads no
-    step calls ``dom.normal_form(a, basis_rows(dom, basis), max_steps,
-    None)`` instead, which returns h alone and takes the same steps.
+    ``Domain.normal_form``, or top-down on polynomial rings, reading the
+    rows ``dom.reducer_rows(basis)`` lists.  A caller that reads no step
+    calls ``dom.normal_form(a, dom.reducer_rows(basis), max_steps, None)``
+    instead, which returns h alone and takes the same steps.
     """
     steps: list = []
-    return dom.normal_form(a, basis_rows(dom, basis), max_steps, steps), steps
+    return dom.normal_form(a, dom.reducer_rows(basis), max_steps, steps), steps
 
 
 def project_reduction_relation(dom: Domain, basis: Sequence, universe: Iterable) -> FiniteRelation:

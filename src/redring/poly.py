@@ -29,10 +29,14 @@ Z/nZ a term can stay at its power product), and merges only the row's
 tail, shifted and scaled, into the terms below pp.  ``normal_form``
 appends each settled term to a list and keeps each unsettled term's rank,
 computed once; ``reduct`` joins f's terms above pp, the combined term and
-that merge.  Each basis element's reducer rows (``reducer_rows``: its
-lead, its tail and, over Z/nZ, those of its "ann" shadows) are built once
-per completion walk, when it joins the basis, and every normal form of the
-walk reads the one growing row list.
+that merge.  ``reducer_rows(basis, start)`` lists the rows a normal form
+reads.  ``PolyRing`` pairs each element's position with its ``_reducers``
+rows (its lead, its tail and, over Z/nZ, those of its "ann" shadows),
+built once per polynomial.  ``FractionFreePolyRing`` lists one row per
+element and builds the element's integer image at the first step that
+uses it, so an element that no step uses is never converted.  A completion
+walk lists the given basis once and extends that list as each element
+joins the basis, and every normal form of the walk reads it.
 
 ``make_poly_domain`` chooses the reduction rule once, from the coefficient
 domain: where it offers the ``integer_image`` hook (Q) the ring is a
@@ -474,32 +478,29 @@ class PolyRing(Domain):
         g._rows = tuple(rows)
         return g._rows
 
-    def reducer_rows(self, pos: int, g: Polynomial) -> list:
-        """g's ``_reducers`` rows for ``normal_form``, each paired with pos."""
-        return [(pos, row) for row in self._reducers(g)]
-
-    def _scan(self, f: tuple, g_lc, g_pp: Pp, index) -> Optional[tuple]:
-        """(k, mc, q): the position k of the greatest term of the term tuple
-        f that a lead g_lc*x^g_pp reduces at index, and the multiplier
-        mc*x^q that reduces it."""
-        find = self.coeff.find_multiplier
-        for k, (c, pp) in enumerate(f):
-            if all(map(_le, g_pp, pp)):
-                m = find(c, g_lc, index)
-                if m is not None:
-                    return k, m, tuple(map(_sub_exps, pp, g_pp))
-        return None
+    def reducer_rows(self, basis: Sequence, start: int = 0) -> list:
+        """The ``_reducers`` rows of each nonzero g at position pos >= start
+        of the basis, each as (pos, row)."""
+        reducers = self._reducers
+        return [(pos, row) for pos, g in enumerate(basis[start:], start) if g for row in reducers(g)]
 
     def _hit(self, f: Polynomial, g: Polynomial, index) -> Optional[tuple]:
-        """(k, mc, q, scalar, lc, tail): the first row of g at index
-        (``_reducers``) that reduces a term of f, with that row's ``_scan``
-        result; None when no row does."""
+        """(k, mc, q, scalar, lc, tail) for the first row of g at index
+        (``_reducers``) that reduces a term of f: the position k of the
+        greatest term c*x^pp of f that the row's lead lc*x^lpp reduces, the
+        multiplier mc*x^q, q = pp - lpp, that reduces it, and the row's
+        scalar and tail; None when no row reduces a term."""
         if not f.terms or not g.terms:
             return None
+        find = self.coeff.find_multiplier
         for i, cindex, scalar, lc, lpp, tail in self._reducers(g):
-            hit = self._scan(f.terms, lc, lpp, cindex) if i == index else None
-            if hit:
-                return (*hit, scalar, lc, tail)
+            if i != index:
+                continue
+            for k, (c, pp) in enumerate(f.terms):
+                if all(map(_le, lpp, pp)):
+                    mc = find(c, lc, cindex)
+                    if mc is not None:
+                        return k, mc, tuple(map(_sub_exps, pp, lpp)), scalar, lc, tail
         return None
 
     def find_multiplier(self, f: Polynomial, g: Polynomial, index) -> Optional[Polynomial]:
@@ -816,8 +817,8 @@ class FractionFreePolyRing(PolyRing):
         """(L, d, tail) with g = (L*x^lpp + tail)/d, lpp g's lead power product.
 
         The tail is a tuple of (integer, power product) terms over the
-        denominator d of ``integer_image``.  Built when g's reducer rows or
-        a reduct first need it, and cached in ``g._lift``.
+        denominator d of ``integer_image``.  Built at the first normal-form
+        step or reduct that takes a term with g, and cached in ``g._lift``.
         """
         try:
             return g._lift
@@ -865,13 +866,16 @@ class FractionFreePolyRing(PolyRing):
             r = terms[:k] + self._merge(terms[k + 1 :], r, False)
         return self._term(ratio(n * d, DL), q), Polynomial(self, r)
 
-    def reducer_rows(self, pos: int, g: Polynomial) -> tuple:
-        """The one row (pos, lead power product, ``_image``) of g.
+    def reducer_rows(self, basis: Sequence, start: int = 0) -> list:
+        """One row (pos, lead power product, g) for each nonzero g at
+        position pos >= start of the basis.
 
         Over a field g reduces exactly the terms its lead power product
-        divides, at every index, so one row stands for all of them.
+        divides, at every index, so one row stands for all of them.  The
+        row holds g itself: ``normal_form`` reads g's ``_image`` only at a
+        step that takes a term with g.
         """
-        return ((pos, g.terms[0].pp, self._image(g)),)
+        return [(pos, g.terms[0].pp, g) for pos, g in enumerate(basis[start:], start) if g]
 
     def normal_form(self, a: Polynomial, rows: Sequence, max_steps: int, steps: Optional[list]) -> Polynomial:
         """``PolyRing.normal_form`` on integer numerators.
@@ -881,7 +885,8 @@ class FractionFreePolyRing(PolyRing):
         A settled term that no step has changed is a's own monomial, as it is
         in the loop over ``Fraction``.  From the first step on, the unsettled
         part is R/D, R a list of integer terms, and each basis element g is
-        (L*x^lpp + tail)/d (``_image``, read from its row).  The step that
+        (L*x^lpp + tail)/d (``_image``, built at the first step that takes
+        a term with g).  The step that
         takes the term C*x^pp of R with g, with e = gcd(C, L) signed as L,
         is one merge:
 
@@ -897,7 +902,7 @@ class FractionFreePolyRing(PolyRing):
         pass over R, and on katsura6 trying it after every step cost more than
         it saved.
         """
-        ratio = self.coeff.ratio
+        ratio, image = self.coeff.ratio, self._image
         rank, descending = self.order.rank, self.order.descending
         taken = 0
         done: list = []  # the settled terms, once a step has been taken
@@ -905,7 +910,7 @@ class FractionFreePolyRing(PolyRing):
         r, i, D = a.terms, 0, None  # r[:i] is settled; D is None before the first step
         while i < len(r):
             pp = r[i][-1]
-            for pos, lpp, image in rows:
+            for pos, lpp, g in rows:
                 if all(map(_le, lpp, pp)):
                     break
             else:
@@ -922,7 +927,7 @@ class FractionFreePolyRing(PolyRing):
                 ns, D = self.coeff.integer_image([m.coeff for m in r[i:]])
                 r, i = [(rank(m.pp), n, m, m.pp) for n, m in zip(ns, r[i:])], 0
             C = r[i][1]
-            L, d, tail = image
+            L, d, tail = image(g)
             q = tuple(map(_sub_exps, pp, lpp))
             if steps is not None:
                 steps.append((pos, self._term(ratio(C * d, D * L), q)))

@@ -973,19 +973,45 @@ def test_walk_builds_each_elements_rows_once(monkeypatch):
     coeff, names, texts, _digest, _basis, _rows = GOLDEN["z24"]
     R = make_poly_domain(coeff, tuple(names), "degrevlex")
     gens = [R.parse(t) for t in texts]
-    built, forms = [], []
+    listed, forms = [], []
     real_rows, real_form = R.reducer_rows, R.normal_form
-    monkeypatch.setattr(R, "reducer_rows", lambda pos, g: built.append((pos, g)) or real_rows(pos, g))
+
+    def rows_of(basis, start=0):
+        listed.append((start, len(basis)))  # the positions listed: start to len - 1
+        return real_rows(basis, start)
+
+    monkeypatch.setattr(R, "reducer_rows", rows_of)
     monkeypatch.setattr(R, "normal_form", lambda *args: forms.append(args[1]) or real_form(*args))
     G = gb(R, gens).basis
-    # once per element, when it joins the basis, in basis order
-    assert built == list(enumerate(G))
+    n = len(gens)
+    # the given basis once, then each element as it joins, at its position
+    assert len(G) > n
+    assert listed == [(0, n)] + [(new, new + 1) for new in range(n, len(G))]
     assert len(forms) > len(G) and all(rows is forms[0] for rows in forms)
-    built.clear()
+    listed.clear()
     forms.clear()
     assert is_groebner_basis(R, list(G))
-    assert built == list(enumerate(G))
-    assert len(forms) > len(G)
+    assert listed == [(0, len(G))]
+    assert len(forms) > len(G) and all(rows is forms[0] for rows in forms)
+    # a walk that appends lists the new element before it stops
+    listed.clear()
+    assert is_groebner_basis(R, list(G[:-1])) is False
+    assert listed == [(0, len(G) - 1), (len(G) - 1, len(G))]
+
+
+def test_member_ideal_converts_only_the_elements_its_steps_use(monkeypatch):
+    R = make_poly_domain(make_field_domain(), ("x", "y", "z"), "degrevlex")
+    assert isinstance(R, FractionFreePolyRing)
+    basis = [R.parse("2/3*x^2 - 1/5*y"), R.parse("3/4*y^3 + 1"), R.parse("5/7*z^2 - x")]
+    converted = []
+    real = R._image
+    monkeypatch.setattr(R, "_image", lambda g: converted.append(g) or real(g))
+    # x*y^2*z: no lead divides a term, so no element is converted
+    assert not member_ideal(R, R.parse("1/3*x*y^2*z + 1/2"), basis)
+    assert converted == []
+    # x^2*y goes down to y^2 through the first element alone; y^2 and z stay
+    assert not member_ideal(R, R.parse("1/2*x^2*y + z"), basis)
+    assert converted and all(g is basis[0] for g in converted)
 
 
 def test_member_ideal_reads_the_basis_it_is_given():

@@ -20,12 +20,11 @@ from redring.core import (
     DEFAULT_STEP_BOUND,
     Domain,
     NonTerminationError,
-    basis_rows,
     normal_form,
     reduce_step,
     step_cap_exceeded,
 )
-from redring.poly import PolyRing, Polynomial, make_poly_domain
+from redring.poly import FractionFreePolyRing, PolyRing, Polynomial, make_poly_domain
 from redring.scalars import (
     RationalFieldDomain,
     make_field_domain,
@@ -84,7 +83,7 @@ def test_top_down_normal_form_keeps_its_contract(name, order):
         assert a - h == combination, shown
         # with no step list: the same h within as many steps, the same
         # message at a lower cap
-        rows = basis_rows(R, basis)
+        rows = R.reducer_rows(basis)
         assert R.normal_form(a, rows, len(steps), None) == h, shown
         if steps:
             cap = rng.randrange(len(steps))
@@ -151,7 +150,7 @@ def test_fraction_free_normal_form_matches_the_fraction_loop(order):
         shown = (R.render(a), [R.render(g) for g in basis])
         h, steps = normal_form(R, a, basis)
         assert (h, steps) == normal_form(reference, a, basis), shown
-        rows = basis_rows(R, basis)
+        rows = R.reducer_rows(basis)
         assert R.normal_form(a, rows, DEFAULT_STEP_BOUND, None) == h, shown
         if steps:
             cap = rng.randrange(len(steps))
@@ -160,7 +159,7 @@ def test_fraction_free_normal_form_matches_the_fraction_loop(order):
             with pytest.raises(NonTerminationError) as stepless:
                 R.normal_form(a, rows, cap, None)
             with pytest.raises(NonTerminationError) as fraction_loop:
-                reference.normal_form(a, basis_rows(reference, basis), cap, [])
+                reference.normal_form(a, reference.reducer_rows(basis), cap, [])
             assert str(fraction_free.value) == str(stepless.value) == str(fraction_loop.value), shown
             capped += 1
     assert capped > 100
@@ -232,6 +231,54 @@ def test_member_ideal_builds_no_step_multiplier(name, monkeypatch):
     assert not h and len(steps) >= 3
     for _obj, attr in counted:
         assert calls.count(attr) >= 3, attr
+
+
+# bases with zero elements, on the three row shapes: (pos, c) by default,
+# (pos, _reducers row) over ring coefficients, (pos, lead pp, g) over Q
+ROW_BASES = {
+    "z": (make_integer_domain, ["0", "4", "-6", "0", "9", "0"]),
+    "z[x,y]": (
+        lambda: make_poly_domain(make_integer_domain(), ("x", "y"), "degrevlex"),
+        ["0", "3*x^2 - y", "0", "2*x*y + 5", "y^2 - x", "0"],
+    ),
+    "zmod24[x,y]": (
+        lambda: make_poly_domain(make_integer_quotient_domain(24), ("x", "y"), "degrevlex"),
+        ["0", "4*x^2 + y", "0", "6*x*y + 3", "5*y^2 - x", "0"],
+    ),
+    "q[x,y]": (
+        lambda: make_poly_domain(make_field_domain(), ("x", "y"), "degrevlex"),
+        ["0", "2/3*x^2 - y", "0", "1/2*x*y + 5", "y^2 - 3/7*x", "0"],
+    ),
+}
+
+
+def element_rows(dom, pos, c) -> list:
+    """The rows of the one element c at basis position pos."""
+    if isinstance(dom, FractionFreePolyRing):
+        return [(pos, c.terms[0].pp, c)]
+    if isinstance(dom, PolyRing):
+        return [(pos, row) for row in dom._reducers(c)]
+    return [(pos, c)]
+
+
+@pytest.mark.parametrize("name", sorted(ROW_BASES))
+def test_reducer_rows_list_the_nonzero_elements_from_start(name):
+    make_dom, texts = ROW_BASES[name]
+    dom = make_dom()
+    basis = [dom.parse(t) for t in texts]
+    listed = dom.reducer_rows(basis)
+    if name == "q[x,y]":
+        # listing converts no element: its integer image waits for a step
+        assert not any(hasattr(g, "_lift") for g in basis)
+    for start in range(len(basis) + 1):
+        want = [row for pos, c in enumerate(basis) if pos >= start and c for row in element_rows(dom, pos, c)]
+        rows = dom.reducer_rows(basis, start)
+        assert rows == want, start
+        # a basis listed up to start, extended from start, is listed whole
+        assert dom.reducer_rows(basis[:start]) + rows == listed, start
+    assert listed
+    if name == "zmod24[x,y]":
+        assert any(row[0] == "ann" for _pos, row in listed)
 
 
 # reduct against its definition, (m, f - m*g) for the find_multiplier witness
@@ -457,7 +504,7 @@ def test_one_pass_normal_form_equals_the_rebuilding_loop(name, order):
         want = reference_normal_form(R, a, basis, DEFAULT_STEP_BOUND, want_steps)
         h, steps = normal_form(R, a, basis)
         assert h.terms == want.terms and steps == want_steps, shown
-        rows = basis_rows(R, basis)
+        rows = R.reducer_rows(basis)
         assert R.normal_form(a, rows, len(steps), None).terms == h.terms, shown
         kinds = replayed_kinds(R, a, basis, steps)
         stays, ann = stays + kinds[0], ann + kinds[1]
