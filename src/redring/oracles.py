@@ -13,7 +13,7 @@ import random
 from typing import Sequence
 
 from .core import Domain
-from .poly import Monomial, Polynomial, PolyRing, mono_mul, pp_divides, pp_lcm, pp_quotient
+from .poly import Monomial, Polynomial, mono_mul, pp_divides, pp_lcm, pp_quotient
 
 
 def gcd_membership_oracle(generators: Sequence[int], probe: int) -> bool:

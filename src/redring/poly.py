@@ -763,41 +763,6 @@ class PolyRing(Domain):
         return hash((self.names, self.order))
 
 
-def _fused_step(r: list, i: int, s: int, t: int, q: tuple, tail: tuple, rank, descending: bool) -> list:
-    """s*r[i:] - t*x^q*tail, both descending, as a new list of r's terms.
-
-    r holds (rank, integer, monomial, power product) terms, where monomial
-    is a's own term while the integer is a's coefficient scaled with D, and
-    None once a step has changed it; tail holds (integer, power product)
-    terms, ranked here after the shift by q.  Zero sums drop.
-    """
-    out = []
-    append = out.append
-    n = len(r)
-    for gc, gpp in tail:
-        pp = tuple(map(_add_exps, q, gpp))
-        rk = rank(pp)
-        c = -t * gc
-        while i < n:
-            term = r[i]
-            rr = term[0]
-            if rr == rk:
-                c += s * term[1]
-                i += 1
-                break
-            if (rr < rk) != descending:
-                break  # the shifted tail term is above r[i]
-            append(term if s == 1 else (rr, s * term[1], term[2], term[3]))
-            i += 1
-        if c:
-            append((rk, c, None, pp))
-    if s == 1:
-        out += r[i:]
-    else:
-        out += [(rr, s * c, mono, pp) for rr, c, mono, pp in r[i:]]
-    return out
-
-
 class FractionFreePolyRing(PolyRing):
     """The polynomial ring over Q, reducing integer numerators over one denominator.
 
@@ -882,20 +847,20 @@ class FractionFreePolyRing(PolyRing):
 
         The steps are those of the top-down loop: over a field the first
         element whose lead power product divides the current term rewrites it.
-        A settled term that no step has changed is a's own monomial, as it is
-        in the loop over ``Fraction``.  From the first step on, the unsettled
-        part is R/D, R a list of integer terms, and each basis element g is
-        (L*x^lpp + tail)/d (``_image``, built at the first step that takes
-        a term with g).  The step that
-        takes the term C*x^pp of R with g, with e = gcd(C, L) signed as L,
-        is one merge:
+        On entry a is converted once to R/D, R a list of integer terms over
+        one denominator D, each ranked once as in ``PolyRing.normal_form``;
+        each basis element g is (L*x^lpp + tail)/d (``_image``, built at the
+        first step that takes a term with g).  The step that takes the
+        term C*x^pp of R with g, with e = gcd(C, L) signed as L, is one merge:
 
             R/D - C*d/(D*L) * x^q * g = ((L/e)*R - (C/e)*x^q*(L*x^lpp + tail)) / (D*L/e)
 
         whose lead cancels, so the merge skips it and D grows by L/e > 0.  The
         multiplier is appended to steps as ratio(C*d, D*L), and a settled term
         is built as ratio(C, D): the exact values the loop over ``Fraction``
-        gives.  When steps is None no multiplier is built, which saves a
+        gives.  A term that no step has changed keeps a's own monomial, so it
+        settles with no ``Fraction`` built, as it does in the loop over
+        ``Fraction``.  When steps is None no multiplier is built, which saves a
         ``Fraction`` (a gcd) and a one-term polynomial per step.  Once D
         passes 2**64, the gcd of D and R's integers is divided out of both, and
         again each time D has grown by another factor of 2**64: the gcd costs a
@@ -905,44 +870,63 @@ class FractionFreePolyRing(PolyRing):
         ratio, image = self.coeff.ratio, self._image
         rank, descending = self.order.rank, self.order.descending
         taken = 0
-        done: list = []  # the settled terms, once a step has been taken
+        done: list = []  # the settled terms
         limit = 1 << 64  # D above it: divide out the content
-        r, i, D = a.terms, 0, None  # r[:i] is settled; D is None before the first step
-        while i < len(r):
-            pp = r[i][-1]
+        ns, D = self.coeff.integer_image([m.coeff for m in a.terms])
+        # the unsettled terms (rank, numerator, monomial, power product), from
+        # r[i] on; monomial is a's own term, None once a step has changed it
+        r = [(rank(m.pp), C, m, m.pp) for C, m in zip(ns, a.terms)]
+        i, n = 0, len(r)
+        while i < n:
+            _, C, mono, pp = r[i]
             for pos, lpp, g in rows:
                 if all(map(_le, lpp, pp)):
                     break
             else:
-                if D is not None:
-                    _, n, mono, _ = r[i]
-                    done.append(mono or _new_tuple(Monomial, (ratio(n, D), pp)))
+                done.append(mono or _new_tuple(Monomial, (ratio(C, D), pp)))
                 i += 1
                 continue
             if taken == max_steps:
                 raise step_cap_exceeded(self, a, max_steps)
             taken += 1
-            if D is None:
-                done += r[:i]
-                ns, D = self.coeff.integer_image([m.coeff for m in r[i:]])
-                r, i = [(rank(m.pp), n, m, m.pp) for n, m in zip(ns, r[i:])], 0
-            C = r[i][1]
             L, d, tail = image(g)
             q = tuple(map(_sub_exps, pp, lpp))
             if steps is not None:
                 steps.append((pos, self._term(ratio(C * d, D * L), q)))
             e = gcd(C, L) if L > 0 else -gcd(C, L)
-            s = L // e
-            r, i = _fused_step(r, i + 1, s, C // e, q, tail, rank, descending), 0
+            s, t = L // e, C // e
+            out: list = []
+            append = out.append
+            i += 1
+            for gc, gpp in tail:
+                tpp = tuple(map(_add_exps, q, gpp))
+                trk = rank(tpp)
+                c = -t * gc
+                while i < n:
+                    term = r[i]
+                    rr = term[0]
+                    if rr == trk:
+                        c += s * term[1]
+                        i += 1
+                        break
+                    if (rr < trk) != descending:
+                        break  # the shifted tail term is above r[i]
+                    append(term if s == 1 else (rr, s * term[1], term[2], term[3]))
+                    i += 1
+                if c:
+                    append((trk, c, None, tpp))
+            if s == 1:
+                out += r[i:]
+            else:
+                out += [(rr, s * c, m, tpp) for rr, c, m, tpp in r[i:]]
+            r, i, n = out, 0, len(out)
             D *= s
             if D > limit:
                 content = gcd(D, *[term[1] for term in r])
                 if content > 1:
                     D //= content
-                    r = [(rr, n // content, mono, pp) for rr, n, mono, pp in r]
+                    r = [(rr, c // content, m, tpp) for rr, c, m, tpp in r]
                 limit = D << 64
-        if D is None:
-            return Polynomial(self, a.terms)
         return Polynomial(self, tuple(done))
 
 

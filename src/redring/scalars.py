@@ -122,9 +122,10 @@ class IntegerDomain(Domain):
     def find_multiplier(self, a, c, index) -> Optional[int]:
         if not c:
             return None
-        q = a // c
-        m = min(q, q + 1, key=lambda m: _int_order_key(a - m * c))
-        return m if _int_order_key(a - m * c) < _int_order_key(a) else None
+        q, r = divmod(a, c)  # a = q*c + r, and a - (q + 1)*c = r - c
+        if _int_order_key(r - c) < _int_order_key(r):
+            q, r = q + 1, r - c
+        return q if _int_order_key(r) < _int_order_key(a) else None
 
     def mntcrs(self, c1, i1, c2, i2) -> list:
         # max(|c1|, |c2|) reduces to zero modulo the larger generator and to

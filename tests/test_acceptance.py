@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  All tolerances are
 exact; the stated runtime budgets are asserted where given.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction

@@ -14,7 +14,7 @@ from redring.core import (
     reduce_step,
 )
 from redring.poly import make_poly_domain
-from redring.relations import equivalent, is_church_rosser
+from redring.relations import is_church_rosser
 from redring.scalars import (
     IntegerQuotientDomain,
     make_field_domain,

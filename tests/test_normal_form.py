@@ -184,6 +184,58 @@ def test_fraction_free_normal_form_does_no_coefficient_arithmetic(monkeypatch):
     assert (h, steps) == normal_form(reference, a, basis)
 
 
+# (basis, a) over Q[x,y] in degrevlex, where some or all of a's terms settle
+# with no step changing them
+UNCHANGED_TERMS = {
+    "zero": (["2*x^2 - 3/5*y"], "0"),
+    "no rows": ([], "7/3*y^4 + 5/2*x*y^2 - 1/7*y^2 + 2/11*x"),
+    "zero rows": (["0", "0"], "7/3*y^4 + 5/2*x*y^2 - 1/7*y^2 + 2/11*x"),
+    "irreducible": (["2*x^2 - 3/5*y", "3*x*y^3 + 1"], "7/3*y^4 + 5/2*x*y^2 - 1/7*y^2 + 2/11*x"),
+    "irreducible top": (
+        ["2*x^2 - 3/5*y", "3*x*y^3 + 1"],
+        "-4*y^6 + 7/3*y^4 + 4/9*x^2*y + 5/2*x*y^2 - 1/7*y^2 + 2/11*x",
+    ),
+    "large scale": (
+        ["5*x^2", "11/13*y^3 + x"],
+        f"1/{3**30}*x^3 + {2**70}/17*x*y^2 + {5**33}*y^3 + 1/{7**25}*x*y + 2/11*x + 9",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNCHANGED_TERMS))
+def test_fraction_free_normal_form_keeps_the_terms_no_step_changes(case, monkeypatch):
+    coeff = make_field_domain()
+    R = make_poly_domain(coeff, ("x", "y"), "degrevlex")
+    gens, text = UNCHANGED_TERMS[case]
+    basis = [R.parse(t) for t in gens]
+    a = R.parse(text)
+    rows = R.reducer_rows(basis)
+    ratios = []
+    real = coeff.ratio
+    monkeypatch.setattr(coeff, "ratio", lambda n, d: ratios.append((n, d)) or real(n, d))
+    h = R.normal_form(a, rows, DEFAULT_STEP_BOUND, None)
+    monkeypatch.undo()
+    steps = []
+    assert R.normal_form(a, rows, DEFAULT_STEP_BOUND, steps) == h
+    reference = make_poly_domain(FractionLoopQ(), R.names, "degrevlex")
+    assert (h, steps) == normal_form(reference, a, basis)
+    # a term of a at a power product no step's m*g has a term at settles as
+    # a's own monomial, and only the other settled terms build a Fraction
+    touched = {t.pp for pos, m in steps for t in (m * basis[pos]).terms}
+    kept = [t for t in a.terms if t.pp not in touched]
+    assert [t for t in h.terms if any(t is u for u in a.terms)] == kept
+    assert len(ratios) == len(h.terms) - len(kept)
+    if case == "irreducible top":
+        assert steps and kept[:2] == list(a.terms[:2])
+    elif case == "large scale":
+        # the first step drops the only term over 3**30, with a denominator
+        # above 2**64, so 3**30 is divided out of the rest: the terms no step
+        # changes keep a's monomials through that
+        assert len(steps) == 2 and [t.pp for t in kept] == [(1, 2), (1, 1), (0, 0)]
+    else:
+        assert steps == [] and ratios == [] and h == a
+
+
 @pytest.mark.parametrize("name", ["z", "zmod24", "zmod360"])
 def test_ring_coefficients_take_the_top_down_loop(name, monkeypatch):
     coeff = COEFFS[name]

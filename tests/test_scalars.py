@@ -99,6 +99,20 @@ class TestIntegers:
             else:
                 assert m is None
 
+    def test_find_multiplier_matches_the_nearest_quotient_rule(self):
+        # the rule the closed form replaced: of the quotients q = a // c and
+        # q + 1, the one whose remainder is least, kept when that is below a
+        def reference(a, c):
+            if not c:
+                return None
+            q = a // c
+            m = min(q, q + 1, key=lambda m: int_key(a - m * c))
+            return m if int_key(a - m * c) < int_key(a) else None
+
+        for a in range(-300, 301):
+            for c in range(-60, 61):
+                assert Z.find_multiplier(a, c, 0) == reference(a, c), (a, c)
+
     def test_mntcrs_are_common_reducibles(self):
         rng = random.Random(17)
         cases = [(4, 6), (4, 5), (6, 10), (1, 2), (3, 3), (-4, 6), (7, 7)]
