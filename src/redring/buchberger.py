@@ -34,17 +34,20 @@ For each pair of multiplier indices, the walk takes the domain's canonical
 minimal common reducibles (mntcrs) z of the pair it pops and forms the
 critical pair of each (``critical_pair``: one ``Domain.reduct`` per side),
 except where its sides are equal: a self-pair at one multiplier index (not
-even formed) or two formed sides that coincide.  It totally reduces both
-sides of every other pair modulo the current basis and appends the
-difference h of the normal forms when it is nonzero.  ``gb`` runs the walk
-to its end and keeps, for each h, an exact cofactor row over the original
-generators, all in a replayable trace.  ``is_groebner_basis`` (the finite
-criterion) runs the same walk on the given basis and stops at the first
-element it would append: the basis is a Groebner basis exactly when the
-walk appends nothing.  It reads neither records nor steps, so its walk
-keeps no record and its normal forms build no step multiplier.  The
-mntcrs of pruned pairs are not re-checked for the mntcr contract;
-``check_axioms`` tests it.
+even formed) or two formed sides that coincide.  Every other pair a1, a2
+gives h, the difference of the normal forms of its sides modulo the current
+basis, and the walk appends h when it is nonzero.  With ``field_lead`` the
+normal form is linear, so h is the one normal form of a1 - a2 (Buchberger's
+S-polynomial); without it (Z, Z/nZ and polynomials over them) a step's
+multiplier depends on the coefficient it reduces, and both sides are
+normal-formed.  ``gb`` runs the walk to its end and keeps, for each h, an
+exact cofactor row over the original generators, all in a replayable
+trace.  ``is_groebner_basis`` (the finite criterion) runs the same walk on
+the given basis and stops at the first element it would append: the basis
+is a Groebner basis exactly when the walk appends nothing.  It reads
+neither records nor steps, so its walk keeps no record and its normal
+forms build no step multiplier.  The mntcrs of pruned pairs are not
+re-checked for the mntcr contract; ``check_axioms`` tests it.
 """
 
 from __future__ import annotations
@@ -92,7 +95,9 @@ class GBTrace:
     * ``("skip", reason)``: ``skip <reason>``;
     * ``("critical", a1, a2)``: ``critical <a1> | <a2>``;
     * ``("reduced", nf1, nf2, n1, n2)``: ``reduced <nf1> | <nf2> steps <n1>
-      <n2>``, where n1 and n2 count the reduction steps of each side;
+      <n2>``, where n1 and n2 count the reduction steps of each side; and,
+      over field coefficients, where one normal form of a1 - a2 gives h,
+      ``("reduced-difference", h, n)``: ``reduced <h> steps <n>``;
     * ``("h",)``: ``h zero``;
     * ``("add", pos, h)``: ``add <pos> <h>``;
     * ``("final", g)``: ``final <g>``, one per basis element.
@@ -111,6 +116,7 @@ class GBTrace:
         "skip": ("skip {}", ()),
         "critical": ("critical {} | {}", (0, 1)),
         "reduced": ("reduced {} | {} steps {} {}", (0, 1)),
+        "reduced-difference": ("reduced {} steps {}", (0,)),
         "h": ("h zero", ()),
         "add": ("add {} {}", (1,)),
         "done": ("done {} {}", ()),
@@ -247,8 +253,11 @@ def _walk(dom: Domain, basis: list, emit, chain: bool, max_steps: int, max_pairs
     Yields, once h is appended, its step list [(pos, m), ...] over basis
     positions, as a normal form returns them: h = sum(m * basis[pos]).  h's
     pairs join the pair set only when the walk is resumed, so the finite
-    criterion stops at the first yield.  ``chain`` switches the
-    chain-criterion prunes (module docstring); each trace record
+    criterion stops at the first yield.  Each normal form takes at most
+    max_steps steps; where ``field_lead`` is set, h is the one normal form
+    of a1 - a2 (module docstring), so the cap bounds that normal form,
+    which may take more steps than either side alone.  ``chain`` switches
+    the chain-criterion prunes (module docstring); each trace record
     (``GBTrace``) goes to ``emit``.  With ``emit`` None, the finite
     criterion's walk, no record is kept, the normal forms build no step
     multiplier (``Domain.normal_form`` with steps None) and the walk yields
@@ -276,6 +285,7 @@ def _walk(dom: Domain, basis: list, emit, chain: bool, max_steps: int, max_pairs
             return dom.normal_form(a, rows, max_steps, None), ()
 
     pairs = PairSet(dom, basis, chain)
+    linear = dom.field_lead is not None
 
     def enqueue(new: int) -> None:
         for i, j, reason in pairs.add(new):
@@ -309,10 +319,15 @@ def _walk(dom: Domain, basis: list, emit, chain: bool, max_steps: int, max_pairs
                     continue
                 m1, a1, m2, a2 = sides
                 emit(("critical", a1, a2))
-                nf1, steps1 = reduce(a1)
-                nf2, steps2 = reduce(a2)
-                emit(("reduced", nf1, nf2, len(steps1), len(steps2)))
-                h = dom.sub(nf1, nf2)
+                if linear:  # nf(a1) - nf(a2) = nf(a1 - a2), one normal form
+                    h, steps1 = reduce(dom.sub(a1, a2))
+                    steps2 = ()
+                    emit(("reduced-difference", h, len(steps1)))
+                else:
+                    nf1, steps1 = reduce(a1)
+                    nf2, steps2 = reduce(a2)
+                    emit(("reduced", nf1, nf2, len(steps1), len(steps2)))
+                    h = dom.sub(nf1, nf2)
                 if not h:
                     emit(("h",))
                     continue

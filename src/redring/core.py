@@ -90,7 +90,12 @@ class Domain:
     answer: ``field_lead(c)``, the lead power product of c where c reduces
     exactly the terms whose power product it divides, which polynomial
     rings over a field provide and the pair set's Gebauer-Moeller criteria
-    read (``buchberger.PairSet``); ``annihilator(c)``, a nonzero m with
+    read (``buchberger.PairSet``).  Setting it also promises a linear normal
+    form: nf(a - b) = nf(a) - nf(b), with the same summed multiplier per
+    basis position, as the top-down normal form over a field gives, since
+    it picks each reducer by power product alone and divides by its lead
+    coefficient; completion then reduces a critical pair's difference once
+    (``buchberger._walk``).  ``annihilator(c)``, a nonzero m with
     m*c = 0 or None where only zero annihilates c, which rings with zero
     divisors provide and polynomial rings over them reduce through (their
     multiplier index "ann"); and ``integer_image(cs)``, the integers ns

@@ -252,7 +252,8 @@ class PolyRing(Domain):
     Over field coefficients g reduces exactly the terms its leading power
     product divides, and every mntcr of two elements is one term at the lcm
     of their leads; the ring then offers ``field_lead``, through which the
-    pair set reads those lcms.
+    pair set reads those lcms.  The normal form is then linear, so
+    completion reduces a critical pair's difference once.
 
     This class is the generic rule over any coefficients.  Over Q it is the
     reference for ``FractionFreePolyRing``, which ``make_poly_domain``

@@ -31,7 +31,7 @@ from redring.oracles import (
     exhaustive_ideal_oracle,
     gcd_membership_oracle,
 )
-from redring.poly import FractionFreePolyRing, PolyRing, make_poly_domain
+from redring.poly import FractionFreePolyRing, PolyRing, TermOrder, make_poly_domain
 from redring.relations import is_church_rosser
 from redring.scalars import (
     RationalFieldDomain,
@@ -446,8 +446,14 @@ def rows_digest(dom, rows) -> str:
 # coefficients became the Gebauer-Moeller update: pruned pairs are traced
 # once as "prune i j <reason>" instead of walked, and fewer pairs are
 # reduced; both bases stayed as they were.  Over Z and Z/nZ the pair set
-# prunes nothing, so the z24, z360 and zxyz digests did not change.  A
-# faster path that takes the same steps must leave every byte unchanged.
+# prunes nothing, so the z24, z360 and zxyz digests did not change.  The
+# katsura3, cyclic4 and q-fractions trace digests were re-pinned when a
+# critical pair over field coefficients began to take one normal form, of
+# a1 - a2, instead of one per side: its "reduced" line now carries one
+# normal form and one step count.  The normal form over a field is linear,
+# so every basis and rows digest stayed as it was; over Z and Z/nZ both
+# sides are still reduced and no digest changed.  A faster path that takes
+# the same steps must leave every byte unchanged.
 # q-fractions has leading coefficients that are neither integers nor units
 # of Z: each generator is (L*x^lpp + tail)/d with d > 1 and |L| > 1, the
 # case where a path on integer numerators must scale both ways.
@@ -461,7 +467,7 @@ GOLDEN = {
             "2*a*b + 2*b*c + 2*c*d - b",
             "2*a*c + b^2 + 2*b*d - c",
         ),
-        "8c4bcfc766b62ec146768d6525b61a72a0158e2053e417a3bcb5db8941c6e0aa",
+        "d31c51a615c181d8872c177c480d7b6989d50b37111fae8c076cff90c8a82ab8",
         (
             "a + 2*b + 2*c + 2*d - 1",
             "a^2 + 2*b^2 + 2*c^2 + 2*d^2 - a",
@@ -487,7 +493,7 @@ GOLDEN = {
             "a*b*c + b*c*d + c*d*a + d*a*b",
             "a*b*c*d - 1",
         ),
-        "e878ab80593fd0b9961df857c3cf6af9df8a712713596f84fd3c8dc9378f9d2b",
+        "3ee9782594016fd7db785cb776b81727cd9537ca7eb2b786207b47d9c0d8808b",
         (
             "a + b + c + d",
             "a*b + b*c + a*d + c*d",
@@ -506,7 +512,7 @@ GOLDEN = {
         Q,
         "xyz",
         ("2/3*x^2 - 5/7*y*z + 1/2", "3/5*x*y + 4/3*z - 2", "6/5*y^2 - 3/4*x*z"),
-        "2d5bd39276984dd9824d934f1d41749b33a746e966fa907421bd05bc59edb91f",
+        "ed9a6709056064ebb65b713e15d5ac53fe7b7686f549707079493cd559ae787a",
         (
             "2/3*x^2 - 5/7*y*z + 1/2",
             "3/5*x*y + 4/3*z - 2",
@@ -583,8 +589,8 @@ def test_golden_replay(name):
         gens = [R.parse(t) for t in texts]
         res = gb(R, gens)
         assert tuple(R.render(g) for g in res.basis) == basis
-        assert res.trace.digest() == digest
         assert rows_digest(R, res.rows) == rows
+        assert res.trace.digest() == digest
         assert verify_cofactors(R, res.rows, gens)
 
 
@@ -622,16 +628,163 @@ def test_cyclic5_replay():
     res = gb(R, [R.parse(t) for t in cyclic(names)])
     trace = res.trace
     rendered = "\n".join(R.render(g) for g in res.basis).encode("utf-8")
-    assert trace.digest() == "3fe5f8e136b8aa0f01d9b2304b70dda3a576bfb29c6c9daf4f31d19edbb3eb25"
+    # basis and rows first: a change to the trace alone must not hide them
     assert hashlib.sha256(rendered).hexdigest() == (
         "8bf29ca59aa7e8f8e3d67c372f3b82305b91f56d263cc39c7911cd454b923fcc"
     )
     assert rows_digest(R, res.rows) == (
         "6f96d2883f5ff4a592829e5fdc7462a87e928ae1c740b537af082f47c1bb84a1"
     )
+    assert trace.digest() == "44729e6cdb2671842a93c92f6d039c4b0f75df42aae1421d4d88f75f5b66ef27"
     assert (len(res.basis), trace.pairs_processed, trace.critical_pairs_reduced) == (42, 154, 112)
     reasons = Counter(r[3] for r in trace.records if r[0] == "prune")
     assert reasons == {"chain-criterion": 712, "product-criterion": 37}
+
+
+def step_sums(dom, steps) -> dict:
+    """The summed multiplier per basis position of a step list, zeros dropped."""
+    sums: dict = {}
+    for pos, m in steps:
+        sums[pos] = dom.add(sums[pos], m) if pos in sums else m
+    return {pos: m for pos, m in sums.items() if m}
+
+
+def two_sided_walk(dom, basis, emit, chain, max_steps, max_pairs):
+    """The reference walk: ``_walk`` with the two-sided rule on every domain.
+
+    Both sides of each critical pair are normal-formed and h is their
+    difference, traced as ``reduced <nf1> | <nf2> steps <n1> <n2>``; the
+    pair cap and the diagnostics are left out.  Where ``field_lead`` is set
+    it also requires, on every critical pair, that the one normal form of
+    a1 - a2 is nf(a1) - nf(a2), with the same summed multiplier per basis
+    position.
+    """
+    rows = dom.reducer_rows(basis)
+    pairs = PairSet(dom, basis, chain)
+
+    def reduce(a, cap=max_steps) -> tuple:
+        steps: list = []
+        return dom.normal_form(a, rows, cap, steps), steps
+
+    def enqueue(new: int) -> None:
+        for i, j, reason in pairs.add(new):
+            emit(("prune", i, j, reason))
+
+    for pos, g in enumerate(basis):
+        emit(("init", pos, g))
+        enqueue(pos)
+    while pairs.pending:
+        i, j, _z = pairs.pending.popleft()
+        emit(("pair", i, j))
+        g1, g2 = basis[i], basis[j]
+        indices = dom.multiplier_indices
+        walk = [(z, i1, i2) for i1 in indices for i2 in indices for z in dom.mntcrs(g1, i1, g2, i2)]
+        for z, i1, i2 in walk:
+            sides = None if i == j and i1 == i2 else critical_pair(dom, z, g1, i1, g2, i2)
+            emit(("mntcr", z, i1, i2))
+            if sides is None or sides[1] == sides[3]:
+                emit(("skip", "equal-sides"))
+                continue
+            m1, a1, m2, a2 = sides
+            emit(("critical", a1, a2))
+            nf1, steps1 = reduce(a1)
+            nf2, steps2 = reduce(a2)
+            emit(("reduced", nf1, nf2, len(steps1), len(steps2)))
+            h = dom.sub(nf1, nf2)
+            steps = [(i, dom.neg(m1)), (j, m2), *((p, dom.neg(m)) for p, m in steps1), *steps2]
+            if dom.field_lead is not None:
+                one, one_steps = reduce(dom.sub(a1, a2), DEFAULT_STEP_BOUND)
+                assert one == h
+                assert step_sums(dom, one_steps) == step_sums(
+                    dom, [*steps1, *((p, dom.neg(m)) for p, m in steps2)]
+                )
+            if not h:
+                emit(("h",))
+                continue
+            new = len(basis)
+            basis.append(h)
+            rows.extend(dom.reducer_rows(basis, new))
+            emit(("add", new, h))
+            yield steps
+            enqueue(new)
+        emit(("done", i, j))
+
+
+def two_sided_gb(monkeypatch, R, gens, **caps):
+    """``gb`` on the reference walk."""
+    with monkeypatch.context() as patched:
+        patched.setattr("redring.buchberger._walk", two_sided_walk)
+        return gb(R, gens, **caps)
+
+
+# the Q trace digests the two-sided rule gave before completion over field
+# coefficients took one normal form per critical pair
+TWO_SIDED_DIGESTS = {
+    "katsura3": "8c4bcfc766b62ec146768d6525b61a72a0158e2053e417a3bcb5db8941c6e0aa",
+    "cyclic4": "e878ab80593fd0b9961df857c3cf6af9df8a712713596f84fd3c8dc9378f9d2b",
+    "q-fractions": "2d5bd39276984dd9824d934f1d41749b33a746e966fa907421bd05bc59edb91f",
+}
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        lambda names: make_poly_domain(Q, names, "degrevlex"),
+        lambda names: PolyRing(Q, names, TermOrder("degrevlex", len(names))),
+    ],
+    ids=["fraction-free", "generic"],
+)
+def test_one_normal_form_per_pair_over_q_matches_the_two_sided_walk(ring, monkeypatch):
+    systems = [(name, GOLDEN[name][1], GOLDEN[name][2]) for name in sorted(TWO_SIDED_DIGESTS)]
+    rng = random.Random(2701)
+    R = ring(tuple("xyz"))
+    for _ in range(20):
+        systems.append((None, "xyz", [R.render(g) for g in random_generators(rng, R, 2, 9, 3, 3)]))
+    for name, names, texts in systems:
+        R = ring(tuple(names))
+        gens = [R.parse(t) for t in texts]
+        ref = two_sided_gb(monkeypatch, R, gens)  # checks nf(a1 - a2) on every pair
+        res = gb(R, gens)
+        assert res.basis == ref.basis, texts
+        assert res.rows == ref.rows, texts
+        assert verify_cofactors(R, res.rows, gens)
+        kinds = Counter(r[0] for r in res.trace.records)
+        assert kinds["reduced-difference"] == kinds["critical"] == ref.trace.critical_pairs_reduced
+        assert "reduced" not in kinds
+        if name is not None:
+            assert ref.trace.digest() == TWO_SIDED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["z24", "zxyz"])
+def test_two_sided_rule_stays_without_field_coefficients(name, monkeypatch):
+    coeff, names, texts, digest, _basis, _rows = GOLDEN[name]
+    R = make_poly_domain(coeff, tuple(names), "degrevlex")
+    gens = [R.parse(t) for t in texts]
+    trace = gb(R, gens).trace
+    kinds = Counter(r[0] for r in trace.records)
+    assert kinds["reduced"] == kinds["critical"] > 0
+    assert "reduced-difference" not in kinds
+    assert trace.digest() == two_sided_gb(monkeypatch, R, gens).trace.digest() == digest
+
+
+def test_step_cap_over_q_bounds_the_one_normal_form(monkeypatch):
+    # each side of every cyclic4 critical pair settles within 3 steps, and
+    # some a1 - a2 needs 5: a cap of 4 stops the one normal form alone
+    coeff, names, texts, _digest, _basis, _rows = GOLDEN["cyclic4"]
+    R = make_poly_domain(coeff, tuple(names), "degrevlex")
+    gens = [R.parse(t) for t in texts]
+    assert two_sided_gb(monkeypatch, R, gens, max_steps=4).basis == gb(R, gens).basis
+    with pytest.raises(NonTerminationError) as stop:
+        gb(R, gens, max_steps=4)
+    records = stop.value.trace.records
+    _, i, j = [r for r in records if r[0] == "pair"][-1]
+    size = sum(r[0] in ("init", "add") for r in records)
+    assert records[-1][0] == "critical"  # the trace ends at the stopped pair's critical pair
+    a1, a2 = records[-1][1:]
+    assert str(stop.value) == (
+        f"reduction of {R.render(R.sub(a1, a2))} did not settle within 4 steps"
+        f" at pair {i} {j} with {size} basis elements"
+    )
 
 
 @pytest.mark.parametrize("cap", [{"max_pairs": 10}, {"max_steps": 1}], ids=["pairs", "steps"])
