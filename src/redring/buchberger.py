@@ -431,11 +431,11 @@ def ideal_congruence_holds(dom: Domain, a, b, basis: Sequence) -> bool:
 
 
 def verify_cofactors(dom: Domain, rows: Sequence, original: Sequence) -> bool:
-    """Replay every cofactor row exactly against the original generators."""
+    """Replay every cofactor row exactly against the original generators.
+
+    Each row's sum of cofactor times generator is one ``Domain.lincomb``.
+    """
     for row in rows:
-        acc = dom.zero
-        for orig, mult in row.cofactors.items():
-            acc = dom.add(acc, dom.mul(mult, original[orig]))
-        if acc != row.element:
+        if dom.lincomb([(mult, original[orig]) for orig, mult in row.cofactors.items()]) != row.element:
             return False
     return True

@@ -67,11 +67,15 @@ class Domain:
     or None when m is None.  Critical pairs and ``reduce_step`` form their
     steps through it.  The default is ``sub(a, mul(m, c))``, and a domain
     may override it with a shorter rule that gives the same values
-    (``PolyRing.reduct``).  ``reducer_rows(basis, start)`` lists the rows
-    of the nonzero elements of basis[start:], each tagged with its
-    element's position pos in basis, in declared order: the rewrites a
-    normal form tries, in the order it tries them.  A zero element reduces
-    nothing (a - m*0 is never below a), so it has no rows.
+    (``PolyRing.reduct``).  ``lincomb(pairs)`` is sum(m*p) over its (m, p)
+    pairs, the sum ``buchberger.verify_cofactors`` replays for each
+    cofactor row.  The default folds acc = add(acc, mul(m, p)) from zero,
+    and a domain may override it with a rule that gives the same value
+    (``FractionFreePolyRing.lincomb``).  ``reducer_rows(basis, start)``
+    lists the rows of the nonzero elements of basis[start:], each tagged
+    with its element's position pos in basis, in declared order: the
+    rewrites a normal form tries, in the order it tries them.  A zero
+    element reduces nothing (a - m*0 is never below a), so it has no rows.
     ``normal_form(a, rows, max_steps, steps)`` reads such rows, totally
     reduces a and returns the irreducible h.  When steps is a list it
     appends each step (pos, m) to it, and when steps is None it builds no
@@ -177,6 +181,13 @@ class Domain:
             current, pos, m = step
             if steps is not None:
                 steps.append((pos, m))
+
+    def lincomb(self, pairs: Iterable[tuple]):
+        """sum(m*p for m, p in pairs): the fold acc = add(acc, mul(m, p)) from zero."""
+        acc = self.zero
+        for m, p in pairs:
+            acc = self.add(acc, self.mul(m, p))
+        return acc
 
     def canonical_associate(self, a):
         """The canonical display form of a's class of associates.

@@ -41,15 +41,15 @@ joins the basis, and every normal form of the walk reads it.
 ``make_poly_domain`` chooses the reduction rule once, from the coefficient
 domain: where it offers the ``integer_image`` hook (Q) the ring is a
 ``FractionFreePolyRing``, whose normal form and reduct take the steps of
-the generic rule on integer numerators over one denominator; otherwise it
-is a ``PolyRing``.
+the generic rule on integer numerators over one denominator, and whose
+``lincomb`` sums products there too; otherwise it is a ``PolyRing``.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from math import gcd
+from math import gcd, lcm
 from operator import add as _add_exps, le as _le, sub as _sub_exps
 from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
@@ -776,7 +776,10 @@ class FractionFreePolyRing(PolyRing):
     pseudo-division with primitive parts (Knuth, *The Art of Computer
     Programming* vol. 2, section 4.6.1).  Its reduct, one step that forms a
     side of a critical pair, builds one ``Fraction`` per term of the
-    element's tail from integers, and none for the term that cancels.
+    element's tail from integers, and none for the term that cancels.  Its
+    ``lincomb``, the replay of a cofactor row, sums the integer products
+    over one common denominator and builds one ``Fraction`` per term of the
+    sum.
     """
 
     def _image(self, g: Polynomial) -> tuple:
@@ -784,7 +787,8 @@ class FractionFreePolyRing(PolyRing):
 
         The tail is a tuple of (integer, power product) terms over the
         denominator d of ``integer_image``.  Built at the first normal-form
-        step or reduct that takes a term with g, and cached in ``g._lift``.
+        step or reduct that takes a term with g, or at the first ``lincomb``
+        that reads g, and cached in ``g._lift``.
         """
         try:
             return g._lift
@@ -831,6 +835,34 @@ class FractionFreePolyRing(PolyRing):
         if len(terms) > 1:
             r = terms[:k] + self._merge(terms[k + 1 :], r, False)
         return self._term(ratio(n * d, DL), q), Polynomial(self, r)
+
+    def lincomb(self, pairs: Iterable[tuple]) -> Polynomial:
+        """``Domain.lincomb`` on integer numerators.
+
+        Each factor is an integer polynomial over its denominator
+        (``_image``), so with m = M/dm and p = P/dp and D the lcm of the
+        dm*dp, sum(m*p) = sum((D/(dm*dp))*M*P)/D.  The integer products are
+        summed per power product, one ratio(c, D) is built per nonzero sum
+        and the terms are sorted once.  The fold over ``Fraction``
+        normalises every product and every sum through a gcd instead; both
+        give the same exact value.
+        """
+        images = [(self._image(m), m.terms[0].pp, self._image(p), p.terms[0].pp) for m, p in pairs if m and p]
+        D = lcm(*[dm * dp for (_, dm, _), _, (_, dp, _), _ in images])
+        acc: dict = {}
+        get = acc.get
+        for (Lm, dm, tm), lm, (Lp, dp, tp), lp in images:
+            s = D // (dm * dp)
+            right = ((Lp, lp), *tp)
+            for a, u in ((Lm, lm), *tm):
+                a *= s
+                for b, v in right:
+                    pp = tuple(map(_add_exps, u, v))
+                    acc[pp] = get(pp, 0) + a * b
+        rank, ratio = self.order.rank, self.coeff.ratio
+        # distinct power products have distinct ranks: the sort never compares further
+        ranked = sorted([(rank(pp), pp, c) for pp, c in acc.items() if c], reverse=not self.order.descending)
+        return Polynomial(self, tuple([_new_tuple(Monomial, (ratio(c, D), pp)) for _, pp, c in ranked]))
 
     def reducer_rows(self, basis: Sequence, start: int = 0) -> list:
         """One row (pos, lead power product, g) for each nonzero g at

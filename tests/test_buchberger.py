@@ -22,6 +22,7 @@ from redring.buchberger import (
 from redring.core import (
     DEFAULT_STEP_BOUND,
     ContractViolationError,
+    Domain,
     NonTerminationError,
     normal_form,
     project_reduction_relation,
@@ -31,7 +32,7 @@ from redring.oracles import (
     exhaustive_ideal_oracle,
     gcd_membership_oracle,
 )
-from redring.poly import FractionFreePolyRing, PolyRing, TermOrder, make_poly_domain
+from redring.poly import FractionFreePolyRing, Polynomial, PolyRing, TermOrder, make_poly_domain
 from redring.relations import is_church_rosser
 from redring.scalars import (
     RationalFieldDomain,
@@ -248,6 +249,43 @@ def test_verify_cofactors_empty_and_perturbed():
     row = res.rows[0]
     bad = CofactorRow(row.element, {k: v + 1 for k, v in row.cofactors.items()})
     assert not verify_cofactors(Z, [bad], (4, 6))
+
+
+def test_lincomb_on_integer_numerators_matches_the_fold():
+    """``FractionFreePolyRing.lincomb`` against the default fold over
+    ``Fraction`` coefficients (``FractionLoopQ``), term for term."""
+    names = tuple("xyz")
+    R = make_poly_domain(Q, names, "degrevlex")
+    loop = PolyRing(FractionLoopQ(), names, TermOrder("degrevlex", 3))
+    assert type(R) is FractionFreePolyRing and type(loop).lincomb is Domain.lincomb
+    rng = random.Random(2903)
+
+    def rand(most: int):
+        """Up to most terms, with mixed denominators."""
+        return R.poly(
+            (
+                Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 7, 12, 25))),
+                tuple(rng.randint(0, 2) for _ in names),
+            )
+            for _ in range(rng.randint(0, most))
+        )
+
+    def check(pairs):
+        got = R.lincomb(pairs)
+        want = loop.lincomb([(Polynomial(loop, m.terms), Polynomial(loop, p.terms)) for m, p in pairs])
+        assert got.terms == want.terms, [(R.render(m), R.render(p)) for m, p in pairs]
+        return got
+
+    assert check([]) == R.zero
+    m, p, q = R.parse("1/2*x*y - 2/3*z + 5"), R.parse("3/4*x - 7/5*y^2"), R.parse("-2/9*y*z + 1/6")
+    assert check([(R.zero, p), (m, R.zero), (R.zero, R.zero)]) == R.zero
+    assert check([(R.zero, p), (m, p), (q, R.zero)]) == R.mul(m, p)
+    # pairs whose products cancel to exactly zero, term by term and as sums
+    assert check([(m, p), (R.neg(m), p)]) == R.zero
+    assert check([(m, R.mul(p, q)), (R.neg(R.mul(m, q)), p)]) == R.zero
+    assert check([(m, p), (q, p), (R.neg(R.add(m, q)), p)]) == R.zero
+    for _ in range(200):
+        check([(rand(4), rand(4)) for _ in range(rng.randint(1, 4))])
 
 
 def fed_pair_set(dom, basis):
@@ -726,7 +764,9 @@ TWO_SIDED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize(
+# the two rules over Q: fraction-free (``make_poly_domain``) and the generic
+# one over ``Fraction`` coefficients, built directly
+Q_RINGS = pytest.mark.parametrize(
     "ring",
     [
         lambda names: make_poly_domain(Q, names, "degrevlex"),
@@ -734,13 +774,25 @@ TWO_SIDED_DIGESTS = {
     ],
     ids=["fraction-free", "generic"],
 )
-def test_one_normal_form_per_pair_over_q_matches_the_two_sided_walk(ring, monkeypatch):
-    systems = [(name, GOLDEN[name][1], GOLDEN[name][2]) for name in sorted(TWO_SIDED_DIGESTS)]
+
+GOLDEN_Q = sorted(name for name in GOLDEN if GOLDEN[name][0] is Q)
+
+
+def seeded_q_systems() -> list:
+    """(name, variables, generator texts): the ``GOLDEN`` Q systems, then 20
+    seeded Q[x,y,z] systems of three generators, named None."""
+    systems = [(name, GOLDEN[name][1], GOLDEN[name][2]) for name in GOLDEN_Q]
     rng = random.Random(2701)
-    R = ring(tuple("xyz"))
+    R = make_poly_domain(Q, tuple("xyz"), "degrevlex")
     for _ in range(20):
         systems.append((None, "xyz", [R.render(g) for g in random_generators(rng, R, 2, 9, 3, 3)]))
-    for name, names, texts in systems:
+    return systems
+
+
+@Q_RINGS
+def test_one_normal_form_per_pair_over_q_matches_the_two_sided_walk(ring, monkeypatch):
+    assert GOLDEN_Q == sorted(TWO_SIDED_DIGESTS)
+    for name, names, texts in seeded_q_systems():
         R = ring(tuple(names))
         gens = [R.parse(t) for t in texts]
         ref = two_sided_gb(monkeypatch, R, gens)  # checks nf(a1 - a2) on every pair
@@ -753,6 +805,43 @@ def test_one_normal_form_per_pair_over_q_matches_the_two_sided_walk(ring, monkey
         assert "reduced" not in kinds
         if name is not None:
             assert ref.trace.digest() == TWO_SIDED_DIGESTS[name]
+
+
+def test_rows_over_q_match_across_the_two_rules():
+    """``gb`` gives the same rows, and ``verify_cofactors`` the same verdict,
+    on integer numerators (``make_poly_domain``) as on ``Fraction``
+    coefficients (``FractionLoopQ``), whose replay is the fold."""
+    for _name, names, texts in seeded_q_systems():
+        names = tuple(names)
+        fold = PolyRing(FractionLoopQ(), names, TermOrder("degrevlex", len(names)))
+        seen = []
+        for R in (make_poly_domain(Q, names, "degrevlex"), fold):
+            gens = [R.parse(t) for t in texts]
+            rows = gb(R, gens).rows
+            terms = [(row.element.terms, {k: v.terms for k, v in row.cofactors.items()}) for row in rows]
+            seen.append((terms, verify_cofactors(R, rows, gens)))
+        assert seen[0] == seen[1], texts
+        assert seen[0][1] is True
+
+
+@Q_RINGS
+@pytest.mark.parametrize("name", GOLDEN_Q)
+def test_verify_cofactors_rejects_perturbed_rows_over_q(ring, name):
+    _coeff, names, texts, _digest, _basis, _rows = GOLDEN[name]
+    R = ring(tuple(names))
+    gens = [R.parse(t) for t in texts]
+    rows = gb(R, gens).rows
+    assert rows and verify_cofactors(R, rows, gens)
+    seventh = Fraction(1, 7)
+    for row in rows:
+        for orig, mult in row.cofactors.items():
+            shifted = {**row.cofactors, orig: R.add(mult, R.monomial(seventh, mult.terms[0].pp))}
+            dropped = {k: v for k, v in row.cofactors.items() if k != orig}
+            assert not verify_cofactors(R, [CofactorRow(row.element, shifted)], gens)
+            assert not verify_cofactors(R, [CofactorRow(row.element, dropped)], gens)
+        element = Polynomial(R, row.element.terms[:-1])  # its last term dropped
+        assert not verify_cofactors(R, [CofactorRow(element, row.cofactors)], gens)
+    assert verify_cofactors(R, rows, gens)
 
 
 @pytest.mark.parametrize("name", ["z24", "zxyz"])
